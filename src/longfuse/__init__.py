@@ -56,6 +56,7 @@ from .nonparam import (
 )
 from .nuisance import (
     NuisanceFit,
+    cell_partition,
     fit_density_ratio,
     fit_primary_outcome_model,
     fit_propensity,
@@ -66,13 +67,11 @@ from .nuisance import (
 from .ols import OlsFit, design_matrix, ols
 from .oracle import DiscreteDgpTable, OracleResult, identification_oracle, potential_outcome_truth
 from .sample import (
-    CellKey,
     CombinedSample,
     EstimateReport,
     GroupTag,
     Unit,
     bootstrap_resample,
-    cell_partition,
     load_sample,
     write_sample,
 )

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import EstimationError, ValidationError, WarningRecord
-from .ols import design_matrix, ols, robust_covariance
+from .nuisance import cell_codes
+from .ols import design_matrix, ols
 from .sample import CombinedSample
 from .schema import CATEGORICAL
 
@@ -118,9 +119,7 @@ def _stratum_labels(sample: CombinedSample, max_cells: int) -> np.ndarray:
             v = sample.covariates[:, j]
             edges = np.quantile(v, np.arange(1, per) / per)
             columns.append(np.searchsorted(np.unique(edges), v, side="right"))
-    key = np.column_stack(columns)
-    _, labels = np.unique(key, axis=0, return_inverse=True)
-    return labels
+    return cell_codes(np.column_stack(columns))[0]
 
 
 def group_balance_test(sample: CombinedSample, method: str = REGRESSION,
@@ -143,10 +142,9 @@ def _balance_regression(sample: CombinedSample) -> DiagnosticReport:
         "group_x_treatment": group * sample.treatment,
     })
     fit = ols(sample.secondary, X, names)
-    cov = robust_covariance(X, fit.residuals)
     idx = [names.index("group"), names.index("group_x_treatment")]
     b = fit.coefficients[idx]
-    V = cov[np.ix_(idx, idx)]
+    V = fit.covariance[np.ix_(idx, idx)]
     stat = float(b @ np.linalg.solve(V, b))
     p = chi2_survival(stat, df=2)
     return DiagnosticReport(
@@ -166,49 +164,47 @@ def _balance_permutation(sample: CombinedSample, seed: int, n_permutations: int,
         raise ValidationError("n_permutations must be positive")
     labels = _stratum_labels(sample, max_cells)
     group = sample.group_obs
-    s = sample.secondary
-    strata = []
+    sizes = np.bincount(labels)
+    n_o = np.bincount(labels[group], minlength=len(sizes))
+    mixed = (n_o > 0) & (n_o < sizes)
     warnings = []
-    n_dropped = 0
-    for lab in np.unique(labels):
-        idx = np.flatnonzero(labels == lab)
-        n_o = int(group[idx].sum())
-        if n_o == 0 or n_o == len(idx):
-            n_dropped += 1
-            continue
-        strata.append(idx)
+    n_dropped = int(np.sum(~mixed))
     if n_dropped:
         warnings.append(WarningRecord(
             code="single_group_strata_dropped",
             message=f"{n_dropped} strata contained a single group and were dropped",
             context={"n_dropped": n_dropped},
         ))
-    if not strata:
+    if not mixed.any():
         raise EstimationError("every stratum contains a single group; permutation test impossible")
-    # content-based stratum order keeps float accumulation independent of
-    # covariate category labels
-    strata.sort(key=lambda idx: int(idx[0]))
+    # number the kept strata by their first unit: a content-based order keeps
+    # float accumulation independent of covariate category labels
+    _, first = np.unique(labels, return_index=True)
+    kept = np.flatnonzero(mixed)
+    kept = kept[np.argsort(first[kept])]
+    stratum = np.full(len(sizes), -1)
+    stratum[kept] = np.arange(len(kept))
+    rows = np.flatnonzero(mixed[labels])
+    lab = stratum[labels[rows]]
+    s = sample.secondary[rows]
+    n_o, n_e = n_o[kept], sizes[kept] - n_o[kept]
+    scale = 1.0 / n_o + 1.0 / n_e
+    # sorted by (stratum, u), a stratum's first n_o rows draw the observational labels
+    take = np.repeat(np.cumsum(sizes[kept]) - n_e, sizes[kept])
 
     def statistic(flags):
-        total = 0.0
-        for idx in strata:
-            f = flags[idx]
-            n_o = f.sum()
-            n_e = len(idx) - n_o
-            d = s[idx][f].mean() - s[idx][~f].mean()
-            total += d * d / (1.0 / n_o + 1.0 / n_e)
-        return total
+        mean_o = np.bincount(lab, weights=np.where(flags, s, 0.0), minlength=len(kept)) / n_o
+        mean_e = np.bincount(lab, weights=np.where(flags, 0.0, s), minlength=len(kept)) / n_e
+        d = mean_o - mean_e
+        return float(np.sum(d * d / scale))
 
-    observed = statistic(group)
+    observed = statistic(group[rows])
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(n_permutations):
         u = rng.random(sample.n)
-        permuted = np.zeros(sample.n, dtype=bool)
-        for idx in strata:
-            order = idx[np.argsort(u[idx], kind="stable")]
-            n_o = int(group[idx].sum())
-            permuted[order[:n_o]] = True
+        permuted = np.empty(len(rows), dtype=bool)
+        permuted[np.lexsort((u[rows], lab))] = np.arange(len(rows)) < take
         if statistic(permuted) >= observed:
             hits += 1
     p = (1.0 + hits) / (n_permutations + 1.0)
@@ -219,7 +215,7 @@ def _balance_permutation(sample: CombinedSample, seed: int, n_permutations: int,
         method=PERMUTATION,
         n_permutations=n_permutations,
         decision_note=_JOINT_FAILURE_NOTE,
-        details={"n_strata": len(strata)},
+        details={"n_strata": len(kept)},
         warnings=tuple(warnings),
     )
 

@@ -25,6 +25,7 @@ from .nuisance import (
     DensityRatioFit,
     ProbabilityFit,
     SecondaryRankFit,
+    covariate_method,
     fit_density_ratio,
     fit_primary_outcome_model,
     fit_propensity,
@@ -56,9 +57,7 @@ def estimate_imputation(sample: CombinedSample,
     if outcome_model is None:
         outcome_model = fit_primary_outcome_model(sample, method=method, k=k)
     if selection is None:
-        selection = fit_selection_odds(
-            sample, method=FREQUENCY if sample.schema.all_covariates_categorical() else KNN,
-            trim=trim, k=k)
+        selection = fit_selection_odds(sample, method=covariate_method(sample), trim=trim, k=k)
     mask = sample.mask(group="E")
     w = sample.treatment[mask]
     X = sample.covariates[mask]
@@ -94,10 +93,8 @@ def estimate_weighting(sample: CombinedSample,
     y = sample.primary[mask]
     if experimental_design == UNCONFOUNDED:
         if propensity is None:
-            propensity = fit_propensity(
-                sample, group="E",
-                method=FREQUENCY if sample.schema.all_covariates_categorical() else KNN,
-                trim=trim)
+            propensity = fit_propensity(sample, group="E", method=covariate_method(sample),
+                                        trim=trim)
         e = propensity.probability(X)
         a = 1.0 / e
         b = 1.0 / (1.0 - e)
@@ -116,8 +113,7 @@ def estimate_control_function(sample: CombinedSample,
     """Average, across experimental arms, of the observational outcome model
     evaluated at each experimental unit's secondary-outcome rank."""
     if rank_fit is None:
-        rank_method = FREQUENCY if sample.schema.all_covariates_categorical() else KNN
-        rank_fit = fit_secondary_rank(sample, method=rank_method, k=k)
+        rank_fit = fit_secondary_rank(sample, method=covariate_method(sample), k=k)
     mask_o = sample.mask(group="O")
     ranks_o = rank_fit.evaluate(sample.secondary[mask_o], sample.treatment[mask_o],
                                 sample.covariates[mask_o])
@@ -145,10 +141,8 @@ class GeneralImputation(BaseEstimator):
                 f"imputation supports nuisance methods 'frequency' and 'knn', "
                 f"got {self.nuisance!r}")
         outcome_model = fit_primary_outcome_model(sample, method=self.nuisance, k=self.k)
-        selection = fit_selection_odds(
-            sample,
-            method=FREQUENCY if sample.schema.all_covariates_categorical() else KNN,
-            trim=self.trim, k=self.k)
+        selection = fit_selection_odds(sample, method=covariate_method(sample),
+                                       trim=self.trim, k=self.k)
         self.tau_ = estimate_imputation(sample, outcome_model, selection)
         self.outcome_model_ = outcome_model
         self.selection_ = selection
@@ -169,14 +163,15 @@ class GeneralWeighting(BaseEstimator):
         self.trim = trim
 
     def fit(self, sample: CombinedSample):
-        method = BINNING if self.nuisance == BINNING else FREQUENCY
-        density_ratio = fit_density_ratio(sample, method=method, bins=self.bins)
+        if self.nuisance not in (FREQUENCY, BINNING):
+            raise ValidationError(
+                f"weighting supports nuisance methods 'frequency' and 'binning', "
+                f"got {self.nuisance!r}")
+        density_ratio = fit_density_ratio(sample, method=self.nuisance, bins=self.bins)
         propensity = None
         if self.experimental_design == UNCONFOUNDED:
-            propensity = fit_propensity(
-                sample, group="E",
-                method=FREQUENCY if sample.schema.all_covariates_categorical() else KNN,
-                trim=self.trim)
+            propensity = fit_propensity(sample, group="E", method=covariate_method(sample),
+                                        trim=self.trim)
         self.tau_ = estimate_weighting(
             sample, density_ratio, propensity,
             experimental_design=self.experimental_design, trim=self.trim)
@@ -201,8 +196,7 @@ class ControlFunction(BaseEstimator):
             raise ValidationError(
                 f"the control function supports nuisance methods 'frequency' and "
                 f"'knn', got {self.nuisance!r}")
-        rank_method = FREQUENCY if sample.schema.all_covariates_categorical() else KNN
-        rank_fit = fit_secondary_rank(sample, method=rank_method, k=self.k)
+        rank_fit = fit_secondary_rank(sample, method=covariate_method(sample), k=self.k)
         mask_o = sample.mask(group="O")
         ranks_o = rank_fit.evaluate(sample.secondary[mask_o], sample.treatment[mask_o],
                                     sample.covariates[mask_o])

@@ -28,42 +28,129 @@ def default_knn_k(n: int) -> int:
     return max(1, math.ceil(n ** 0.8))
 
 
+# -- integer cell codes --------------------------------------------------------
+
+
+def _find(table: np.ndarray, query: np.ndarray):
+    """Positions of query values in a sorted table, and whether each is present."""
+    pos = np.searchsorted(table, query)
+    return pos, table[np.minimum(pos, len(table) - 1)] == query
+
+
+class CellTable:
+    """Dense integer cell codes for the rows of a matrix of discrete columns.
+
+    Codes run from 0 to ``n_cells - 1`` in lexicographic order of the rows'
+    values, so they do not depend on row order. Each column is coded by
+    ``np.unique`` and folded into the running code in mixed radix; the running
+    code is re-densified after every column, so it stays below
+    n_rows * n_levels and cannot overflow whatever the product of the level
+    counts. A matrix with no columns puts every row in one cell.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=np.float64)
+        self._levels, self._merged = [], []
+        code = np.zeros(rows.shape[0], dtype=np.int64)
+        n_cells = 1
+        for col in rows.T:
+            levels, inv = np.unique(col, return_inverse=True)
+            merged, code = np.unique(code * len(levels) + inv, return_inverse=True)
+            self._levels.append(levels)
+            self._merged.append(merged)
+            n_cells = len(merged)
+        self.codes = code
+        self.n_cells = n_cells
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Codes of query rows in this table; -1 flags a row whose values
+        never occur together in the fitted rows."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[1] != len(self._levels):
+            raise ValidationError(
+                f"query rows have {rows.shape[1]} columns, the cell table {len(self._levels)}")
+        code = np.zeros(rows.shape[0], dtype=np.int64)
+        known = np.ones(rows.shape[0], dtype=bool)
+        for col, levels, merged in zip(rows.T, self._levels, self._merged):
+            inv, hit = _find(levels, col)
+            code, seen = _find(merged, code * len(levels) + inv)
+            known &= hit & seen
+        return np.where(known, code, -1)
+
+
+def cell_codes(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense integer code of each row of a matrix of discrete columns, and the
+    number of distinct rows; see :class:`CellTable`."""
+    table = CellTable(rows)
+    return table.codes, table.n_cells
+
+
+def cell_partition(sample: CombinedSample, keys, secondary_bins=None) -> dict:
+    """Partition unit indices into cells keyed by the requested columns.
+
+    ``keys`` draws from "group", "treatment", "secondary" and schema covariate
+    names; a cell's key is the tuple of its values in that order (group as
+    1.0 for observational units, categorical covariates as their codes). An
+    empty specification yields a single cell holding every unit. Partitioning
+    on a continuous secondary outcome requires ``secondary_bins`` (monotone
+    bin edges).
+    """
+    names = sample.schema.covariate_names
+    columns = []
+    for k in keys:
+        if k == "group":
+            columns.append(sample.group_obs)
+        elif k == "treatment":
+            columns.append(sample.treatment)
+        elif k == "secondary":
+            if secondary_bins is not None:
+                edges = np.asarray(secondary_bins, dtype=np.float64)
+                columns.append(np.digitize(sample.secondary, edges))
+            elif sample.schema.secondary_discrete:
+                columns.append(sample.secondary)
+            else:
+                raise ValidationError(
+                    "cell specification references a continuous secondary outcome; "
+                    "pass secondary_bins or declare the column secondary:discrete"
+                )
+        elif k in names:
+            columns.append(sample.covariates[:, names.index(k)])
+        else:
+            raise ValidationError(f"unknown cell key {k!r}")
+    rows = np.column_stack(columns).astype(np.float64) if columns else np.empty((sample.n, 0))
+    codes, n_cells = cell_codes(rows)
+    order = np.argsort(codes, kind="stable")
+    cells = np.split(order, np.cumsum(np.bincount(codes, minlength=n_cells))[:-1])
+    return {tuple(rows[idx[0]].tolist()): idx for idx in cells}
+
+
 # -- low-level predictors ------------------------------------------------------
 
 
 class FrequencyMean:
-    """Exact cell means keyed on the byte pattern of the feature row."""
+    """Exact cell means over the distinct feature rows."""
 
     def __init__(self, features: np.ndarray, y: np.ndarray):
-        F = np.ascontiguousarray(np.atleast_2d(features), dtype=np.float64)
+        F = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if F.shape[0] != len(y):
             F = F.T
         self._d = F.shape[1]
         if self._d == 0:
             self._global = float(np.mean(y))
-            self._table = {}
             return
-        self._global = None
-        sums: dict[bytes, float] = {}
-        counts: dict[bytes, int] = {}
-        for row, value in zip(F, y):
-            key = row.tobytes()
-            sums[key] = sums.get(key, 0.0) + float(value)
-            counts[key] = counts.get(key, 0) + 1
-        self._table = {k: sums[k] / counts[k] for k in sums}
-        self._counts = counts
+        self._cells = CellTable(F)
+        # bincount adds in row order, as a running per-cell sum would
+        self.means = np.bincount(self._cells.codes, weights=y) / np.bincount(self._cells.codes)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        F = np.ascontiguousarray(np.atleast_2d(features), dtype=np.float64)
+        F = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if self._d == 0:
             return np.full(F.shape[0] if F.ndim == 2 else 1, self._global)
-        out = np.empty(F.shape[0])
-        for i, row in enumerate(F):
-            key = row.tobytes()
-            if key not in self._table:
-                raise PositivityError(f"query lands in empty cell {tuple(row)}")
-            out[i] = self._table[key]
-        return out
+        codes = self._cells.lookup(F)
+        missing = np.flatnonzero(codes < 0)
+        if len(missing):
+            raise PositivityError(f"query lands in empty cell {tuple(F[missing[0]].tolist())}")
+        return self.means[codes]
 
 
 class KnnMean:
@@ -187,15 +274,11 @@ class DensityRatioFit(NuisanceFit):
     """Ratio of experimental to observational conditional frequencies of
     (treatment, secondary) given covariates."""
 
-    def __init__(self, kind, method, params, table, bin_edges, warnings=()):
+    def __init__(self, kind, method, params, cells, ratios, bin_edges, warnings=()):
         super().__init__(kind, method, params, warnings)
-        self._table = table  # key -> ratio
+        self._cells = cells  # CellTable over (treatment, covariates, secondary or its bin)
+        self._ratios = ratios  # ratio per cell code
         self._bin_edges = bin_edges
-
-    def _key(self, w, x_row, s):
-        if self._bin_edges is not None:
-            s = float(np.searchsorted(self._bin_edges, s, side="right"))
-        return (int(w), tuple(np.asarray(x_row, dtype=np.float64)), float(s))
 
     def ratio(self, w, features, s) -> np.ndarray:
         w = np.asarray(w)
@@ -203,13 +286,17 @@ class DensityRatioFit(NuisanceFit):
         if F.shape[0] != len(w):
             F = F.T
         s = np.asarray(s, dtype=np.float64)
-        out = np.empty(len(w))
-        for i in range(len(w)):
-            key = self._key(w[i], F[i], s[i])
-            if key not in self._table:
-                raise PositivityError(f"observational cell {key} has zero frequency")
-            out[i] = self._table[key]
-        return out
+        if self._bin_edges is not None:
+            s = np.searchsorted(self._bin_edges, s, side="right").astype(np.float64)
+        codes = self._cells.lookup(np.column_stack([w, F, s]))
+        missing = np.flatnonzero(codes < 0)
+        if len(missing):
+            i = missing[0]
+            raise PositivityError(
+                f"observational cell (treatment={int(w[i])}, covariates={tuple(F[i].tolist())}, "
+                f"secondary={s[i]:g}) has zero frequency"
+            )
+        return self._ratios[codes]
 
 
 class SecondaryRankFit(NuisanceFit):
@@ -218,7 +305,9 @@ class SecondaryRankFit(NuisanceFit):
 
     def __init__(self, kind, method, params, cells, knn_state, warnings=()):
         super().__init__(kind, method, params, warnings)
-        self._cells = cells  # frequency: {(w, xkey): sorted secondary values}
+        # frequency: (CellTable over (w, x), sorted secondary levels, sorted
+        # cell-major keys code * (n_levels + 1) + level rank, cell starts, cell sizes)
+        self._cells = cells
         self._knn = knn_state  # knn: {w: (standardized X, s values, mu, sd, k)}
 
     def evaluate(self, s, w, features) -> np.ndarray:
@@ -227,18 +316,20 @@ class SecondaryRankFit(NuisanceFit):
         F = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if F.shape[0] != len(w):
             F = F.T
-        out = np.empty(len(w))
         if self.method == FREQUENCY:
-            for i in range(len(w)):
-                key = (int(w[i]), F[i].tobytes())
-                if key not in self._cells:
-                    raise PositivityError(
-                        f"no experimental units in cell (treatment={int(w[i])}, "
-                        f"covariates={tuple(F[i])})"
-                    )
-                values = self._cells[key]
-                out[i] = np.searchsorted(values, s[i], side="right") / len(values)
-            return out
+            table, levels, keys, starts, sizes = self._cells
+            codes = table.lookup(np.column_stack([w, F]))
+            missing = np.flatnonzero(codes < 0)
+            if len(missing):
+                i = missing[0]
+                raise PositivityError(
+                    f"no experimental units in cell (treatment={int(w[i])}, "
+                    f"covariates={tuple(F[i].tolist())})"
+                )
+            # keys below code * (n_levels + 1) + #levels <= s are the cell's values <= s
+            query = codes * (len(levels) + 1) + np.searchsorted(levels, s, side="right")
+            return (np.searchsorted(keys, query) - starts[codes]) / sizes[codes]
+        out = np.empty(len(w))
         for arm in (0, 1):
             m = w == arm
             if not m.any():
@@ -262,6 +353,12 @@ class SecondaryRankFit(NuisanceFit):
 
 
 # -- fitting frontends ---------------------------------------------------------
+
+
+def covariate_method(sample: CombinedSample) -> str:
+    """Nuisance method for fits on covariates alone: exact cells when every
+    covariate is categorical, kNN otherwise."""
+    return FREQUENCY if sample.schema.all_covariates_categorical() else KNN
 
 
 def _require_discrete_features(sample: CombinedSample, with_secondary: bool, what: str):
@@ -340,7 +437,6 @@ def fit_selection_odds(sample: CombinedSample, method: str = FREQUENCY,
         trim=trim,
         k=k,
         support_message="covariate cell present only in the experimental sample",
-        support_check=lambda cell_flags: cell_flags.sum() == 0,
     )
 
 
@@ -361,25 +457,20 @@ def fit_propensity(sample: CombinedSample, group: str, method: str = FREQUENCY,
         trim=trim,
         k=k,
         support_message=None,
-        support_check=None,
     )
 
 
-def _fit_probability(kind, features, flags, sample, method, trim, k,
-                     support_message, support_check):
+def _fit_probability(kind, features, flags, sample, method, trim, k, support_message):
+    """``support_message``, when given, is raised for a covariate cell in which
+    no unit carries the flag (frequency method only)."""
     warnings = []
     if method == FREQUENCY:
         if not sample.schema.all_covariates_categorical():
             raise ValidationError(f"{kind} with the frequency method requires categorical covariates")
-        if support_check is not None and features.shape[1] > 0:
-            F = np.ascontiguousarray(features, dtype=np.float64)
-            seen = {}
-            for row, flag in zip(F, flags):
-                seen.setdefault(row.tobytes(), []).append(flag)
-            for key, cell_flags in seen.items():
-                if support_check(np.asarray(cell_flags)):
-                    raise PositivityError(f"{support_message} (common-support violation)")
         model = FrequencyMean(features, flags)
+        if support_message is not None and features.shape[1] > 0:
+            if (model.means == 0).any():
+                raise PositivityError(f"{support_message} (common-support violation)")
     elif method == KNN:
         n = len(flags)
         model = KnnMean(features, flags, k=k if k is not None else default_knn_k(n))
@@ -425,46 +516,42 @@ def fit_density_ratio(sample: CombinedSample, method: str = FREQUENCY,
     else:
         raise ValidationError(f"unsupported method {method!r} for density ratio")
 
+    X = sample.covariates
+    obs = sample.group_obs
+    cells = CellTable(np.column_stack([sample.treatment, X, svals]))
+    c_e = np.bincount(cells.codes[~obs], minlength=cells.n_cells)
+    c_o = np.bincount(cells.codes[obs], minlength=cells.n_cells)
+    x_codes, n_x = cell_codes(X)
+    x_e = np.bincount(x_codes[~obs], minlength=n_x)
+    x_o = np.bincount(x_codes[obs], minlength=n_x)
+    only_o = np.flatnonzero(x_e[x_codes] == 0)
+    if len(only_o):
+        raise PositivityError(
+            f"covariate cell {tuple(X[only_o[0]].tolist())} present only in the "
+            "observational sample"
+        )
+    only_e = np.flatnonzero(c_o[cells.codes] == 0)
+    if len(only_e):
+        i = only_e[0]
+        raise PositivityError(
+            f"experimental cell (treatment={int(sample.treatment[i])}, "
+            f"covariates={tuple(X[i].tolist())}, secondary={svals[i]:g}) has no "
+            "observational counterpart"
+        )
+    cell_x = np.empty(cells.n_cells, dtype=np.int64)
+    cell_x[cells.codes] = x_codes
+    # exact integer counts: the same divisions a per-cell loop would make
+    ratios = (c_e / x_e[cell_x]) / (c_o / x_o[cell_x])
     warnings = []
-    cells_e: dict = {}
-    cells_o: dict = {}
-    x_e: dict = {}
-    x_o: dict = {}
-    for i in range(sample.n):
-        xkey = tuple(sample.covariates[i])
-        key = (int(sample.treatment[i]), xkey, float(svals[i]))
-        if sample.group_obs[i]:
-            cells_o[key] = cells_o.get(key, 0) + 1
-            x_o[xkey] = x_o.get(xkey, 0) + 1
-        else:
-            cells_e[key] = cells_e.get(key, 0) + 1
-            x_e[xkey] = x_e.get(xkey, 0) + 1
-
-    table = {}
-    for key, c_o in cells_o.items():
-        _, xkey, _ = key
-        if xkey not in x_e:
-            raise PositivityError(
-                f"covariate cell {xkey} present only in the observational sample"
-            )
-        c_e = cells_e.get(key, 0)
-        if c_e == 0:
-            table[key] = 0.0
-            warnings.append(WarningRecord(
-                code="zero_experimental_cell",
-                message="observational cell has no experimental counterpart; weight 0",
-                context={"treatment": key[0], "secondary": key[2]},
-            ))
-        else:
-            table[key] = (c_e / x_e[xkey]) / (c_o / x_o[xkey])
-    for key in cells_e:
-        if key not in cells_o:
-            raise PositivityError(
-                f"experimental cell (treatment={key[0]}, covariates={key[1]}, "
-                f"secondary={key[2]:g}) has no observational counterpart"
-            )
+    n_zero = int(np.sum(c_e == 0))
+    if n_zero:
+        warnings.append(WarningRecord(
+            code="zero_experimental_cell",
+            message=f"{n_zero} observational cells have no experimental counterpart; weight 0",
+            context={"n_cells": n_zero},
+        ))
     return DensityRatioFit("density_ratio", method, {"bins": bins if edges is not None else None},
-                           table, edges, warnings)
+                           cells, ratios, edges, warnings)
 
 
 def fit_secondary_rank(sample: CombinedSample, method: str = FREQUENCY,
@@ -481,12 +568,13 @@ def fit_secondary_rank(sample: CombinedSample, method: str = FREQUENCY,
             raise ValidationError(
                 "rank fit with the frequency method requires categorical covariates"
             )
-        cells: dict = {}
-        for i in range(len(w)):
-            key = (int(w[i]), np.ascontiguousarray(X[i]).tobytes())
-            cells.setdefault(key, []).append(s[i])
-        cells = {key: np.sort(np.asarray(v)) for key, v in cells.items()}
-        return SecondaryRankFit("secondary_rank_cdf", method, {}, cells, None)
+        table = CellTable(np.column_stack([w, X]))
+        levels, level_rank = np.unique(s, return_inverse=True)
+        keys = np.sort(table.codes * (len(levels) + 1) + level_rank)
+        sizes = np.bincount(table.codes, minlength=table.n_cells)
+        starts = np.cumsum(sizes) - sizes
+        return SecondaryRankFit("secondary_rank_cdf", method, {},
+                                (table, levels, keys, starts, sizes), None)
     if method == KNN:
         knn_state = {}
         for arm in (0, 1):

@@ -17,6 +17,7 @@ class OlsFit:
     n: int
     r_squared: float
     se: np.ndarray  # heteroskedasticity-robust (HC1)
+    covariance: np.ndarray | None = None  # HC1 covariance; se is its diagonal's root
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -58,17 +59,8 @@ def ols(response, design, names) -> OlsFit:
     meat = (X * (resid**2)[:, None]).T @ X
     cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return OlsFit(names=names, coefficients=beta, residuals=resid, n=n, r_squared=r2, se=se)
-
-
-def robust_covariance(design, residuals) -> np.ndarray:
-    """HC1 covariance of OLS coefficients for an already-fitted design."""
-    X = np.asarray(design, dtype=np.float64)
-    e = np.asarray(residuals, dtype=np.float64)
-    n, k = X.shape
-    xtx_inv = np.linalg.inv(X.T @ X)
-    meat = (X * (e**2)[:, None]).T @ X
-    return xtx_inv @ meat @ xtx_inv * (n / (n - k))
+    return OlsFit(names=names, coefficients=beta, residuals=resid, n=n, r_squared=r2, se=se,
+                  covariance=cov)
 
 
 def _dependent_columns(X, names) -> list[str]:

@@ -50,16 +50,6 @@ class Unit:
 
 
 @dataclass(frozen=True)
-class CellKey:
-    """Hashable cell identifier; stable under unit reordering."""
-
-    group: GroupTag | None = None
-    treatment: int | None = None
-    covariate_cell: tuple = ()  # ((name, value), ...) in schema order
-    secondary: float | None = None
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     estimator: str
     tau_hat: float
@@ -193,10 +183,6 @@ class CombinedSample:
         if treatment is not None:
             m &= self.treatment == treatment
         return m
-
-    def covariate_column(self, name: str) -> np.ndarray:
-        names = self.schema.covariate_names
-        return self.covariates[:, names.index(name)]
 
     def take(self, indices: np.ndarray) -> "CombinedSample":
         return CombinedSample(
@@ -341,58 +327,6 @@ def write_sample(sample: CombinedSample, destination=None) -> str | None:
         with open(destination, "w", newline="", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
     return None
-
-
-# -- cell machinery -----------------------------------------------------------
-
-
-def cell_partition(sample: CombinedSample, keys, secondary_bins=None) -> dict:
-    """Partition unit indices into cells keyed by the requested columns.
-
-    ``keys`` draws from "group", "treatment", "secondary" and schema covariate
-    names. An empty specification yields a single cell holding every unit.
-    Partitioning on a continuous secondary outcome requires ``secondary_bins``
-    (monotone bin edges).
-    """
-    keys = list(keys)
-    valid = {"group", "treatment", "secondary", *sample.schema.covariate_names}
-    for k in keys:
-        if k not in valid:
-            raise ValidationError(f"unknown cell key {k!r}")
-    sec_values = None
-    if "secondary" in keys:
-        if not sample.schema.secondary_discrete and secondary_bins is None:
-            raise ValidationError(
-                "cell specification references a continuous secondary outcome; "
-                "pass secondary_bins or declare the column secondary:discrete"
-            )
-        if secondary_bins is not None:
-            edges = np.asarray(secondary_bins, dtype=np.float64)
-            sec_values = np.digitize(sample.secondary, edges).astype(np.float64)
-        else:
-            sec_values = sample.secondary
-
-    cells: dict[CellKey, list[int]] = {}
-    names = sample.schema.covariate_names
-    for i in range(sample.n):
-        group = treatment = secondary = None
-        cov_cell = []
-        for k in keys:
-            if k == "group":
-                group = GroupTag.OBSERVATIONAL if sample.group_obs[i] else GroupTag.EXPERIMENTAL
-            elif k == "treatment":
-                treatment = int(sample.treatment[i])
-            elif k == "secondary":
-                secondary = float(sec_values[i])
-            else:
-                spec = sample.schema.covariate(k)
-                v = sample.covariates[i, names.index(k)]
-                value = spec.levels[int(v)] if spec.kind == CATEGORICAL and spec.levels else float(v)
-                cov_cell.append((k, value))
-        key = CellKey(group=group, treatment=treatment,
-                      covariate_cell=tuple(cov_cell), secondary=secondary)
-        cells.setdefault(key, []).append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
 
 
 def bootstrap_resample(sample: CombinedSample, seed: int) -> CombinedSample:

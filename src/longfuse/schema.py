@@ -48,14 +48,6 @@ class CovariateSpec:
         if self.kind not in (CATEGORICAL, CONTINUOUS):
             raise ValidationError(f"covariate {self.name!r}: unknown kind {self.kind!r}")
 
-    def code_of(self, label: str) -> int:
-        try:
-            return self.levels.index(label)
-        except ValueError:
-            raise ValidationError(
-                f"covariate {self.name!r}: unknown categorical level {label!r}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class SampleSchema:

@@ -169,6 +169,21 @@ def test_estimate_invalid_nuisance_combo(workspace, capsys):
     assert "frequency" in capsys.readouterr().err
 
 
+def test_weighting_with_knn_nuisance_exits_two(workspace, capsys):
+    # discrete data on which the frequency density ratio would fit
+    sample = workspace / "binary.csv"
+    rows = ["g,w,s,y"] + [f"{g},{w},{s},{'1' if g == 'O' else ''}"
+                          for g in "EO" for w in (0, 1) for s in (0, 1)]
+    sample.write_text("\n".join(rows) + "\n")
+    schema = workspace / "binary_schema.json"
+    schema.write_text(json.dumps({"g": "group", "w": "treatment",
+                                  "s": "secondary:discrete", "y": "primary"}))
+    code = run(["estimate", "--input", sample, "--schema", schema,
+                "--method", "weighting", "--nuisance", "knn", "--bootstrap", 0])
+    assert code == 2
+    assert "binning" in capsys.readouterr().err
+
+
 def test_diagnose_end_to_end(workspace, capsys):
     code = run(["diagnose", "--input", workspace / "sample.csv",
                 "--schema", workspace / "schema.json", "--seed", 4,

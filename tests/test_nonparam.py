@@ -6,6 +6,7 @@ from longfuse import (
     GeneralImputation,
     GeneralWeighting,
     SimConfig,
+    ValidationError,
     estimate_binary_imputation,
     estimate_binary_weighting,
     estimate_control_function,
@@ -180,3 +181,9 @@ def test_weight_positivity_invariant(hand_fixture):
     imp = GeneralImputation().fit(hand_fixture)
     odds = imp.selection_.odds(hand_fixture.covariates[~hand_fixture.group_obs])
     assert np.isfinite(odds).all() and (odds >= 0).all()
+
+
+@pytest.mark.parametrize("nuisance", ["knn", "kernel"])
+def test_weighting_rejects_nuisance_other_than_frequency_or_binning(hand_fixture, nuisance):
+    with pytest.raises(ValidationError, match="'frequency' and 'binning'"):
+        GeneralWeighting(nuisance=nuisance).fit(hand_fixture)

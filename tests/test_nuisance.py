@@ -14,7 +14,7 @@ from longfuse import (
     fit_selection_odds,
     simulate_linear,
 )
-from longfuse.nuisance import FrequencyMean, KnnMean, default_knn_k
+from longfuse.nuisance import CellTable, FrequencyMean, KnnMean, cell_codes, default_knn_k
 from longfuse.schema import CovariateSpec, SampleSchema
 
 from conftest import build_binary_sample
@@ -367,3 +367,215 @@ def test_rank_knn_cells_for_continuous_covariates():
     assert ((eta >= 0) & (eta <= 1)).all()
     # roughly uniform: mean near 1/2
     assert abs(eta.mean() - 0.5) < 0.05
+
+
+# -- cell-code kernels against a dict-loop reference --
+
+
+def reference_frequency_mean(F, y, queries):
+    sums, counts = {}, {}
+    for row, value in zip(F, y):
+        key = tuple(row)
+        sums[key] = sums.get(key, 0.0) + float(value)
+        counts[key] = counts.get(key, 0) + 1
+    out = []
+    for row in queries:
+        if tuple(row) not in sums:
+            raise PositivityError("empty cell")
+        out.append(sums[tuple(row)] / counts[tuple(row)])
+    return np.array(out)
+
+
+def reference_density_ratio(sample, edges):
+    """Ratios at the observational units, from per-cell integer counts."""
+    s = sample.secondary
+    if edges is not None:
+        s = np.searchsorted(edges, s, side="right").astype(np.float64)
+    cells_e, cells_o, x_e, x_o = {}, {}, {}, {}
+    for i in range(sample.n):
+        x = tuple(sample.covariates[i])
+        key = (int(sample.treatment[i]), x, float(s[i]))
+        cells, xs = (cells_o, x_o) if sample.group_obs[i] else (cells_e, x_e)
+        cells[key] = cells.get(key, 0) + 1
+        xs[x] = xs.get(x, 0) + 1
+    table = {}
+    for key, c_o in cells_o.items():
+        if key[1] not in x_e:
+            raise PositivityError("present only in the observational sample")
+        c_e = cells_e.get(key, 0)
+        table[key] = 0.0 if c_e == 0 else (c_e / x_e[key[1]]) / (c_o / x_o[key[1]])
+    if any(key not in cells_o for key in cells_e):
+        raise PositivityError("no observational counterpart")
+    obs = np.flatnonzero(sample.group_obs)
+    return np.array([table[(int(sample.treatment[i]), tuple(sample.covariates[i]), float(s[i]))]
+                     for i in obs])
+
+
+def reference_rank(sample, s, w, X):
+    cells = {}
+    for i in np.flatnonzero(~sample.group_obs):
+        key = (int(sample.treatment[i]), tuple(sample.covariates[i]))
+        cells.setdefault(key, []).append(sample.secondary[i])
+    out = []
+    for si, wi, xi in zip(s, w, X):
+        if (int(wi), tuple(xi)) not in cells:
+            raise PositivityError("no experimental units")
+        values = np.sort(cells[(int(wi), tuple(xi))])
+        out.append(np.searchsorted(values, si, side="right") / len(values))
+    return np.array(out)
+
+
+def reference_support_violated(sample):
+    flags = {}
+    for row, obs in zip(sample.covariates, sample.group_obs):
+        flags[tuple(row)] = flags.get(tuple(row), False) or bool(obs)
+    return not all(flags.values())
+
+
+def random_discrete_sample(rng, n, levels, n_secondary, secondary_discrete=True):
+    schema = SampleSchema(
+        "g", "w", "s", "y",
+        covariates=tuple(CovariateSpec(f"x{j}", "categorical",
+                                       levels=tuple(str(v) for v in range(L)))
+                         for j, L in enumerate(levels)),
+        secondary_discrete=secondary_discrete,
+    )
+    g = np.arange(n) % 2 == 1
+    w = (np.arange(n) // 2 % 2).astype(np.int8)
+    X = np.column_stack([rng.integers(0, L, n) for L in levels]).astype(np.float64)
+    if secondary_discrete:
+        s = rng.integers(0, n_secondary, n).astype(np.float64) - 1.5
+    else:
+        s = np.round(rng.standard_normal(n), 1)
+    y = np.where(g, rng.standard_normal(n), np.nan)
+    return CombinedSample(schema, g, w, X.reshape(n, len(levels)), s, y)
+
+
+def relabel(sample, rng):
+    """The same table with every covariate's category codes permuted."""
+    X = sample.covariates.copy()
+    for j, spec in enumerate(sample.schema.covariates):
+        X[:, j] = rng.permutation(len(spec.levels))[X[:, j].astype(int)]
+    return CombinedSample(sample.schema, sample.group_obs, sample.treatment, X,
+                          sample.secondary, sample.primary)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except PositivityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variant", ["plain", "shuffled", "relabelled", "sparse"])
+def test_cell_kernels_match_dict_loop_reference(variant):
+    rng = np.random.default_rng(["plain", "shuffled", "relabelled", "sparse"].index(variant))
+    n_rows, levels = (60, (4, 3)) if variant == "sparse" else (600, (3, 2))
+    for _ in range(6):
+        sample = random_discrete_sample(rng, n_rows, levels, n_secondary=3)
+        if variant == "shuffled":
+            sample = sample.take(rng.permutation(sample.n))
+        elif variant == "relabelled":
+            sample = relabel(sample, rng)
+        obs = sample.mask(group="O")
+        w, X, s, y = (sample.treatment[obs], sample.covariates[obs],
+                      sample.secondary[obs], sample.primary[obs])
+
+        F = np.column_stack([X, s])
+        expect = reference_frequency_mean(F, y, F)
+        assert np.array_equal(FrequencyMean(F, y).predict(F), expect)
+
+        expect = outcome(lambda: reference_density_ratio(sample, None))
+        got = outcome(lambda: fit_density_ratio(sample).ratio(w, X, s))
+        if isinstance(expect, str):
+            assert isinstance(got, str) and expect in got
+        else:
+            assert np.array_equal(got, expect)
+
+        expect = outcome(lambda: reference_rank(sample, s, w, X))
+        got = outcome(lambda: fit_secondary_rank(sample).evaluate(s, w, X))
+        if isinstance(expect, str):
+            assert isinstance(got, str) and expect in got
+        else:
+            assert np.array_equal(got, expect)
+
+        violated = isinstance(outcome(lambda: fit_selection_odds(sample)), str)
+        assert violated == reference_support_violated(sample)
+
+
+@pytest.mark.parametrize("bins", [1, 4, 20])
+def test_binned_density_ratio_matches_dict_loop_reference(bins):
+    rng = np.random.default_rng(bins)
+    sample = random_discrete_sample(rng, 2000, (2, 2), 0, secondary_discrete=False)
+    shuffled = sample.take(rng.permutation(sample.n))
+    for smp in (sample, shuffled):
+        fit = fit_density_ratio(smp, method="binning", bins=bins)
+        edges = np.unique(np.quantile(smp.secondary, np.arange(1, bins) / bins))
+        obs = smp.mask(group="O")
+        got = outcome(lambda: fit.ratio(smp.treatment[obs], smp.covariates[obs],
+                                        smp.secondary[obs]))
+        assert np.array_equal(got, reference_density_ratio(smp, edges))
+
+
+def test_cell_codes_redensify_past_int64_level_product():
+    rng = np.random.default_rng(11)
+    levels = (300,) * 8  # 300**8 > 2**63
+    assert np.prod(np.array(levels, dtype=float)) > 2.0**63
+    rows = np.column_stack([rng.integers(0, L, 3000) for L in levels]).astype(np.float64)
+    rows[1500:] = rows[:1500]  # every row occurs at least twice
+    codes, n_cells = cell_codes(rows)
+    _, expect = np.unique(rows, axis=0, return_inverse=True)
+    assert n_cells == 1500
+    assert np.array_equal(codes, expect.ravel())
+    table = CellTable(rows)
+    assert np.array_equal(table.lookup(rows[::-1]), codes[::-1])
+    unseen = rows[:2].copy()
+    unseen[0, 3] = 999.0  # unseen level
+    unseen[1, 0] = rows[2, 0] if rows[2, 0] != rows[1, 0] else rows[3, 0]  # unseen combination
+    assert (table.lookup(unseen) == -1).all()
+    y = rng.standard_normal(len(rows))
+    assert np.array_equal(FrequencyMean(rows, y).predict(rows),
+                          reference_frequency_mean(rows, y, rows))
+
+
+def _positivity_cases():
+    def fixture(extra):
+        rows = [(g, w, x, s, 1.0 if g == "O" else None)
+                for g in ("E", "O") for w in (0, 1) for x in (0, 1) for s in (0.0, 1.0)]
+        return discrete_sample(rows + extra)
+
+    only_o = fixture([("O", 1, 2, 0.0, 1.0)])
+    only_e_cell = fixture([("E", 1, 1, 2.0, None)])
+    only_e_x = fixture([("E", 1, 2, 0.0, None)])
+    full = fixture([])
+    return [
+        ("present only in the observational sample", lambda: fit_density_ratio(only_o)),
+        ("no observational counterpart", lambda: fit_density_ratio(only_e_cell)),
+        ("zero frequency", lambda: fit_density_ratio(full).ratio(
+            np.array([1]), np.array([[1.0]]), np.array([3.0]))),
+        ("common-support", lambda: fit_selection_odds(only_e_x)),
+        ("empty cell", lambda: FrequencyMean(np.array([[1.0, 0.5]]), np.ones(1)).predict(
+            np.array([[1.0, 1.5]]))),
+        ("no experimental units", lambda: fit_secondary_rank(full).evaluate(
+            np.array([0.0]), np.array([1]), np.array([[2.0]]))),
+    ]
+
+
+@pytest.mark.parametrize("phrase,call", _positivity_cases(),
+                         ids=[c[0] for c in _positivity_cases()])
+def test_positivity_messages_print_plain_numbers(phrase, call):
+    with pytest.raises(PositivityError, match=phrase) as info:
+        call()
+    assert "np." not in str(info.value)
+
+
+def test_density_ratio_zero_cells_one_aggregate_warning(hand_fixture):
+    fit = fit_density_ratio(hand_fixture)
+    zero = [w for w in fit.warnings if w.code == "zero_experimental_cell"]
+    assert len(zero) == 1 and zero[0].context == {"n_cells": 1}
+    rows = [(g, w, 0, s, 1.0 if g == "O" else None)
+            for g in ("E", "O") for w in (0, 1) for s in (0.0, 1.0)]
+    rows += [("O", w, 0, 2.0, 1.0) for w in (0, 1)]  # two cells with no experimental mass
+    fit = fit_density_ratio(discrete_sample(rows))
+    zero = [w for w in fit.warnings if w.code == "zero_experimental_cell"]
+    assert len(zero) == 1 and zero[0].context == {"n_cells": 2}
