@@ -6,6 +6,7 @@ trailing-underscore attributes) so instances cooperate with generic
 machinery such as ``sklearn.base.clone`` without a scikit-learn dependency.
 """
 
+import functools
 import inspect
 
 from .exceptions import NotFittedError
@@ -13,13 +14,15 @@ from .exceptions import NotFittedError
 
 class BaseEstimator:
     @classmethod
-    def _param_names(cls) -> list[str]:
+    @functools.cache
+    def _param_names(cls) -> tuple[str, ...]:
+        """Constructor parameter names, parsed once per class."""
         sig = inspect.signature(cls.__init__)
-        return [
+        return tuple(
             name
             for name, p in sig.parameters.items()
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        )
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}

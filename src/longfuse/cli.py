@@ -6,6 +6,7 @@ byte-identical reports when --no-timestamp is set.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -303,21 +304,27 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_sim_config(args.config)
     seed = _require_seed(args)
+    if args.replicates < 1:
+        raise ValidationError("--replicates must be at least 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     estimators = {}
     for m in methods:
         estimators[m] = NaiveObservational() if m == "naive" else _make_estimator(m, args)
     truth = true_tau(config)
-    seeds = replicate_seeds(seed, args.replicates)
     taus = {m: [] for m in methods}
-    for rep_seed in seeds:
-        rep_config = SimConfig.from_dict({**config.to_dict(), "seed": rep_seed})
-        sample, _ = simulate_linear(rep_config)
+    for rep_seed in replicate_seeds(seed, args.replicates):
+        sample, _ = simulate_linear(dataclasses.replace(config, seed=rep_seed))
         for m, est in estimators.items():
-            taus[m].append(est.clone().fit(sample).tau_)
+            try:
+                taus[m].append(est.clone().fit(sample).tau_)
+            except EstimationError:
+                pass  # counted below as a failed replicate
     rows = []
     for m in methods:
         values = np.asarray(taus[m])
+        if len(values) == 0:
+            raise EstimationError(
+                f"bench: estimator {m!r} failed on all {args.replicates} replicates")
         bias = float(values.mean() - truth.tau_p)
         sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         rows.append({
@@ -327,6 +334,7 @@ def _cmd_bench(args) -> int:
             "sd": sd,
             "rmse": float(np.sqrt(np.mean((values - truth.tau_p) ** 2))),
             "mc_se": float(sd / np.sqrt(len(values))) if len(values) > 1 else 0.0,
+            "n_failed": args.replicates - len(values),
         })
     if args.format == "csv":
         lines = ["estimator,mean,bias,sd,rmse,mc_se"]
@@ -347,7 +355,10 @@ def _cmd_bench(args) -> int:
             "replicates": args.replicates,
             "methods": methods,
             "nuisance": args.nuisance,
+            "knn_k": args.knn_k,
             "bins": args.bins,
+            "trim": args.trim,
+            "experimental_design": args.experimental_design,
             "seed": seed,
         },
         "truth": {"tau_p": truth.tau_p, "tau_s": truth.tau_s,

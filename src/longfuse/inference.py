@@ -9,8 +9,6 @@ across methods.
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,8 +16,6 @@ from .base import BaseEstimator
 from .exceptions import EstimationError, WarningRecord
 from .sample import CombinedSample, EstimateReport, bootstrap_resample
 from .simulate import replicate_seeds
-
-THREADS_ENV = "LONGFUSE_THREADS"
 
 
 class NaiveObservational(BaseEstimator):
@@ -44,14 +40,6 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bootstrap_estimates(estimator: BaseEstimator, sample: CombinedSample,
                         n_bootstrap: int, seed: int):
     """Replicate estimates in replicate-index order plus the failure count.
@@ -59,8 +47,6 @@ def bootstrap_estimates(estimator: BaseEstimator, sample: CombinedSample,
     Replicates where the resample breaks an estimator precondition (an
     emptied cell, a rank failure) are dropped and counted.
     """
-    seeds = replicate_seeds(seed, n_bootstrap)
-
     def one(replicate_seed):
         resample = bootstrap_resample(sample, replicate_seed)
         try:
@@ -68,12 +54,7 @@ def bootstrap_estimates(estimator: BaseEstimator, sample: CombinedSample,
         except EstimationError:
             return None
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+    results = [one(s) for s in replicate_seeds(seed, n_bootstrap)]
     values = np.asarray([r for r in results if r is not None])
     return values, len(results) - len(values)
 

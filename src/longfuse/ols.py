@@ -42,7 +42,9 @@ def ols(response, design, names) -> OlsFit:
         raise ValidationError("design names do not match column count")
     if n <= k:
         raise ValidationError(f"too few rows for regression: n={n}, columns={k}")
-    rank = np.linalg.matrix_rank(X)
+    # with rcond=None lstsq counts rank against matrix_rank's threshold
+    # (eps * max(n, k) * s_max), so one SVD serves the fit and the rank check
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < k:
         dependent = _dependent_columns(X, names)
         raise RankError(
@@ -50,7 +52,6 @@ def ols(response, design, names) -> OlsFit:
             + ", ".join(dependent),
             columns=tuple(dependent),
         )
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     sst = float(np.sum((y - y.mean()) ** 2))
     ssr = float(resid @ resid)

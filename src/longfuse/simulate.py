@@ -6,6 +6,7 @@ random discrete tables satisfying the identifying assumptions by explicit
 factorization.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,10 +114,14 @@ class SimTruth:
     naive_bias_s: float
 
 
+@functools.lru_cache(maxsize=32)
 def latent_selection_gap(confounding: float, intervals: int = 800_000) -> float:
     """E[latent | treated] - E[latent | control] in the observational sample,
     under logistic assignment in a standard Gaussian latent; dense trapezoid
-    integration over the latent distribution."""
+    integration over the latent distribution.
+
+    Memoized: it depends only on its arguments, and every draw of a Monte
+    Carlo run shares one ``confounding``."""
     if confounding == 0.0:
         return 0.0
     a = np.linspace(-12.0, 12.0, intervals + 1)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from longfuse import cli
 from longfuse.cli import main
+from longfuse.simulate import latent_selection_gap
 
 
 @pytest.fixture
@@ -233,6 +236,102 @@ def test_bench_null_config_unbiased(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     for row in report["results"]:
         assert abs(row["bias"]) < 2.5 * row["mc_se"]
+
+
+def _bench(workspace, capsys, *extra):
+    code = run(["bench", "--config", workspace / "sim.json", "--no-timestamp", *extra])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--knn-k", 7, "knn_k"),
+    ("--trim", 0.05, "trim"),
+    ("--experimental-design", "unconfounded", "experimental_design"),
+])
+def test_bench_fingerprint_covers_result_options(workspace, capsys, flag, value, key):
+    common = ["--replicates", 2, "--methods", "naive", "--seed", 3]
+    base = _bench(workspace, capsys, *common)
+    changed = _bench(workspace, capsys, *common, flag, value)
+    assert changed["config"][key] == value
+    assert base["config"][key] != value
+    assert changed["config_fingerprint"] != base["config_fingerprint"]
+
+
+def test_bench_counts_failed_replicates(workspace, capsys, monkeypatch):
+    from longfuse import PositivityError
+    from longfuse.base import BaseEstimator
+
+    successes = []
+
+    class Flaky(BaseEstimator):
+        calls = 0
+
+        def fit(self, sample):
+            Flaky.calls += 1
+            if Flaky.calls % 2 == 0:
+                raise PositivityError("every second replicate loses a cell")
+            self.tau_ = float(sample.secondary.mean())
+            successes.append(self.tau_)
+            return self
+
+    monkeypatch.setattr(cli, "_make_estimator", lambda method, args: Flaky())
+    report = _bench(workspace, capsys, "--replicates", 6, "--methods", "naive,flaky",
+                    "--seed", 4)
+    rows = {r["estimator"]: r for r in report["results"]}
+    assert rows["naive"]["n_failed"] == 0
+    assert rows["flaky"]["n_failed"] == 3
+    assert rows["flaky"]["mean"] == float(np.mean(successes))
+
+
+def test_bench_exits_three_when_an_estimator_never_succeeds(workspace, capsys,
+                                                            monkeypatch):
+    from longfuse import PositivityError
+    from longfuse.base import BaseEstimator
+
+    class Broken(BaseEstimator):
+        def fit(self, sample):
+            raise PositivityError("no overlap")
+
+    monkeypatch.setattr(cli, "_make_estimator", lambda method, args: Broken())
+    code = run(["bench", "--config", workspace / "sim.json", "--replicates", 3,
+                "--methods", "naive,broken", "--seed", 4])
+    assert code == 3
+    assert "'broken'" in capsys.readouterr().err
+
+
+def test_bench_without_replicates_exits_two(workspace, capsys):
+    code = run(["bench", "--config", workspace / "sim.json", "--replicates", 0,
+                "--methods", "naive", "--seed", 4])
+    assert code == 2
+    assert "--replicates" in capsys.readouterr().err
+
+
+def test_bench_derives_the_truth_once(workspace, capsys):
+    latent_selection_gap.cache_clear()
+    _bench(workspace, capsys, "--replicates", 5, "--methods", "naive", "--seed", 8)
+    assert latent_selection_gap.cache_info().misses == 1
+
+
+def test_bench_numbers_are_pinned(workspace, capsys):
+    report = _bench(workspace, capsys, "--replicates", 5,
+                    "--methods", "naive,linear-cf,linear-imputation", "--seed", 13)
+    assert report["truth"] == {"naive_bias_p": 0.5289496682032823,
+                               "naive_bias_s": 0.8264838565676285,
+                               "tau_p": 0.06, "tau_s": 0.15}
+    pinned = {
+        "naive": (0.5853441679368887, 0.5253441679368887, 0.132953022095442,
+                  0.5386350338148743, 0.059458399043887965),
+        "linear-cf": (0.009796015913325077, -0.050203984086674924, 0.04368443084345962,
+                      0.06361685010017955, 0.019536271384872836),
+        "linear-imputation": (0.009796015913325214, -0.050203984086674786,
+                              0.04368443084345933, 0.06361685010017927,
+                              0.019536271384872708),
+    }
+    for row in report["results"]:
+        got = tuple(row[k] for k in ("mean", "bias", "sd", "rmse", "mc_se"))
+        assert got == pinned[row["estimator"]]
+        assert row["n_failed"] == 0
 
 
 def test_csv_round_trip_through_cli(workspace, tmp_path, capsys):

@@ -104,8 +104,25 @@ def test_check_is_fitted(sample):
     check_is_fitted(est)
 
 
-def test_parallel_bootstrap_matches_serial(sample, monkeypatch):
-    serial, _ = bootstrap_estimates(BinaryImputation(), sample, 30, seed=9)
-    monkeypatch.setenv("LONGFUSE_THREADS", "4")
-    parallel, _ = bootstrap_estimates(BinaryImputation(), sample, 30, seed=9)
-    assert np.array_equal(serial, parallel)
+def test_param_names_parsed_once_per_class():
+    from longfuse import GeneralWeighting
+
+    class Tuned(GeneralWeighting):
+        def __init__(self, nuisance="binning", bins=20, experimental_design="randomized",
+                     trim=0.01, extra=3):
+            super().__init__(nuisance=nuisance, bins=bins,
+                             experimental_design=experimental_design, trim=trim)
+            self.extra = extra
+
+    base_names = ("nuisance", "bins", "experimental_design", "trim")
+    assert GeneralWeighting._param_names() == base_names
+    assert Tuned._param_names() == base_names + ("extra",)
+    assert Tuned._param_names() is Tuned._param_names()
+    assert GeneralWeighting._param_names() == base_names
+    est = Tuned(bins=33, extra=5)
+    clone = est.clone()
+    assert type(clone) is Tuned
+    assert clone.get_params() == est.get_params()
+    assert repr(clone) == repr(est) == ("Tuned(nuisance='binning', bins=33, "
+                                        "experimental_design='randomized', trim=0.01, extra=5)")
+    assert eval(repr(est), {"Tuned": Tuned}).get_params() == est.get_params()

@@ -54,3 +54,46 @@ def test_robust_se_positive_and_sane():
     assert (fit.se > 0).all()
     # slope is strongly identified here
     assert abs(fit.coef("x") - 0.5) < 5 * fit.se_of("x")
+
+
+def _rank_cases():
+    rng = np.random.default_rng(11)
+    n = 60
+    ones = np.ones(n)
+    cases = {}
+    for i in range(4):
+        x = rng.standard_normal((n, 2))
+        dummy = (rng.random(n) < 0.4).astype(np.float64)
+        cases[f"random-{i}"] = (np.column_stack([ones, x, dummy]),
+                                ("intercept", "a", "b", "g=1"), None)
+    x = rng.standard_normal(n)
+    cases["duplicate"] = (np.column_stack([ones, x, x]), ("intercept", "x", "x_copy"),
+                          ("x_copy",))
+    # a categorical level missing from a resample leaves its dummy all zero
+    dummy = (rng.random(n) < 0.5).astype(np.float64)
+    cases["zero-dummy"] = (np.column_stack([ones, x, dummy, np.zeros(n)]),
+                           ("intercept", "x", "g=1", "g=2"), ("g=2",))
+    cases["scaled-1e8"] = (np.column_stack([ones, x, 1e8 * dummy]),
+                           ("intercept", "x", "big"), None)
+    return cases
+
+
+RANK_CASES = _rank_cases()
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_decision_matches_matrix_rank(case):
+    X, names, dependent = RANK_CASES[case]
+    n, k = X.shape
+    y = np.random.default_rng(12).standard_normal(n)
+    rank = np.linalg.matrix_rank(X)
+    assert (rank == k) == (dependent is None)
+    if dependent is None:
+        fit = ols(y, X, names)
+        assert np.array_equal(fit.coefficients, np.linalg.lstsq(X, y, rcond=None)[0])
+        return
+    with pytest.raises(RankError) as exc:
+        ols(y, X, names)
+    assert exc.value.columns == dependent
+    assert str(exc.value) == (f"design is rank deficient (rank {rank} < {k}); "
+                              "dependent columns: " + ", ".join(dependent))
