@@ -13,8 +13,6 @@ from .binary import (
     BinaryImputation,
     BinaryWeighting,
     binary_cell_means,
-    estimate_binary_imputation,
-    estimate_binary_weighting,
     tau_naive_observational,
     tau_secondary_experimental,
 )
@@ -40,8 +38,6 @@ from .linear import (
     LinearControlFunction,
     LinearImputation,
     SecondaryModelFit,
-    estimate_linear_control_function,
-    estimate_linear_imputation,
     fit_secondary_experimental,
     residual_balance_diagnostic,
     residuals_observational,
@@ -56,7 +52,6 @@ from .nonparam import (
 )
 from .nuisance import (
     NuisanceFit,
-    cell_partition,
     fit_density_ratio,
     fit_primary_outcome_model,
     fit_propensity,
@@ -69,8 +64,6 @@ from .oracle import DiscreteDgpTable, OracleResult, identification_oracle, poten
 from .sample import (
     CombinedSample,
     EstimateReport,
-    GroupTag,
-    Unit,
     bootstrap_resample,
     load_sample,
     write_sample,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
+from .base import BaseEstimator
 from .exceptions import EstimationError, PositivityError, ValidationError, WarningRecord
 from .sample import CombinedSample
 
@@ -170,12 +170,3 @@ class BinaryWeighting(BaseEstimator):
     def name(self) -> str:
         return "binary-weighting"
 
-
-def estimate_binary_imputation(sample: CombinedSample) -> float:
-    return BinaryImputation().fit(sample).tau_
-
-
-def estimate_binary_weighting(sample: CombinedSample) -> float:
-    est = BinaryWeighting().fit(sample)
-    check_is_fitted(est)
-    return est.tau_

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .base import BaseEstimator
-from .exceptions import EstimationError, WarningRecord
+from .exceptions import EstimationError, ValidationError, WarningRecord
 from .sample import CombinedSample, EstimateReport, bootstrap_resample
 from .simulate import replicate_seeds
 
@@ -63,6 +63,9 @@ def estimate_with_bootstrap(estimator: BaseEstimator, sample: CombinedSample,
                             n_bootstrap: int = 200, seed: int = 0,
                             fingerprint: str | None = None,
                             details: dict | None = None) -> EstimateReport:
+    if n_bootstrap < 0 or n_bootstrap == 1:
+        # one replicate cannot form a standard error; refuse before any fit
+        raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
     fitted = estimator.clone().fit(sample)
     warnings = list(getattr(fitted, "warnings_", ()))
     se = None

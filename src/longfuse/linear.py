@@ -134,10 +134,3 @@ class LinearImputation(BaseEstimator):
     def name(self) -> str:
         return "linear-imputation"
 
-
-def estimate_linear_control_function(sample: CombinedSample) -> ControlFunctionFit:
-    return LinearControlFunction().fit(sample).result_
-
-
-def estimate_linear_imputation(sample: CombinedSample) -> float:
-    return LinearImputation().fit(sample).tau_

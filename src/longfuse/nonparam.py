@@ -21,10 +21,6 @@ from .nuisance import (
     BINNING,
     FREQUENCY,
     KNN,
-    ConditionalMeanFit,
-    DensityRatioFit,
-    ProbabilityFit,
-    SecondaryRankFit,
     covariate_method,
     fit_density_ratio,
     fit_primary_outcome_model,
@@ -46,90 +42,10 @@ def _hajek(values, weights, label) -> float:
     return float(np.sum(values * weights)) / total
 
 
-def estimate_imputation(sample: CombinedSample,
-                        outcome_model: ConditionalMeanFit | None = None,
-                        selection: ProbabilityFit | None = None,
-                        method: str = FREQUENCY,
-                        k: int | None = None,
-                        trim: float = 0.01) -> float:
+class GeneralImputation(BaseEstimator):
     """Selection-odds-weighted difference of imputed primary outcomes across
     experimental arms."""
-    if outcome_model is None:
-        outcome_model = fit_primary_outcome_model(sample, method=method, k=k)
-    if selection is None:
-        selection = fit_selection_odds(sample, method=covariate_method(sample), trim=trim, k=k)
-    mask = sample.mask(group="E")
-    w = sample.treatment[mask]
-    X = sample.covariates[mask]
-    features = np.column_stack([X, sample.secondary[mask]])
-    imputed = outcome_model.evaluate(w, features)
-    odds = selection.odds(X)
-    treated = _hajek(imputed[w == 1], odds[w == 1], "treated experimental arm")
-    control = _hajek(imputed[w == 0], odds[w == 0], "control experimental arm")
-    return treated - control
 
-
-def estimate_weighting(sample: CombinedSample,
-                       density_ratio: DensityRatioFit | None = None,
-                       propensity: ProbabilityFit | None = None,
-                       method: str = FREQUENCY,
-                       bins: int = 20,
-                       experimental_design: str = RANDOMIZED,
-                       trim: float = 0.01) -> float:
-    """Density-ratio-weighted difference of observational primary outcomes.
-
-    Under a completely randomized experimental design the weights are the
-    density ratio alone; under a covariate-conditional design each arm is
-    additionally inverse-weighted by the experimental propensity score.
-    """
-    if experimental_design not in (RANDOMIZED, UNCONFOUNDED):
-        raise ValidationError(f"unknown experimental design {experimental_design!r}")
-    if density_ratio is None:
-        density_ratio = fit_density_ratio(sample, method=method, bins=bins)
-    mask = sample.mask(group="O")
-    w = sample.treatment[mask]
-    X = sample.covariates[mask]
-    lam = density_ratio.ratio(w, X, sample.secondary[mask])
-    y = sample.primary[mask]
-    if experimental_design == UNCONFOUNDED:
-        if propensity is None:
-            propensity = fit_propensity(sample, group="E", method=covariate_method(sample),
-                                        trim=trim)
-        e = propensity.probability(X)
-        a = 1.0 / e
-        b = 1.0 / (1.0 - e)
-    else:
-        a = b = np.ones(len(w))
-    treated = _hajek(y[w == 1], (lam * a)[w == 1], "treated observational arm")
-    control = _hajek(y[w == 0], (lam * b)[w == 0], "control observational arm")
-    return treated - control
-
-
-def estimate_control_function(sample: CombinedSample,
-                              rank_fit: SecondaryRankFit | None = None,
-                              rank_outcome: ConditionalMeanFit | None = None,
-                              gamma_method: str = FREQUENCY,
-                              k: int | None = None) -> float:
-    """Average, across experimental arms, of the observational outcome model
-    evaluated at each experimental unit's secondary-outcome rank."""
-    if rank_fit is None:
-        rank_fit = fit_secondary_rank(sample, method=covariate_method(sample), k=k)
-    mask_o = sample.mask(group="O")
-    ranks_o = rank_fit.evaluate(sample.secondary[mask_o], sample.treatment[mask_o],
-                                sample.covariates[mask_o])
-    if rank_outcome is None:
-        rank_outcome = fit_rank_outcome_model(sample, ranks_o, method=gamma_method, k=k)
-    mask_e = sample.mask(group="E")
-    w = sample.treatment[mask_e]
-    ranks_e = rank_fit.evaluate(sample.secondary[mask_e], w, sample.covariates[mask_e])
-    features = np.column_stack([sample.covariates[mask_e], ranks_e])
-    g = rank_outcome.evaluate(w, features)
-    if not (w == 1).any() or not (w == 0).any():
-        raise EstimationError("empty experimental arm")
-    return float(np.mean(g[w == 1])) - float(np.mean(g[w == 0]))
-
-
-class GeneralImputation(BaseEstimator):
     def __init__(self, nuisance: str = FREQUENCY, k: int | None = None, trim: float = 0.01):
         self.nuisance = nuisance
         self.k = k
@@ -143,7 +59,15 @@ class GeneralImputation(BaseEstimator):
         outcome_model = fit_primary_outcome_model(sample, method=self.nuisance, k=self.k)
         selection = fit_selection_odds(sample, method=covariate_method(sample),
                                        trim=self.trim, k=self.k)
-        self.tau_ = estimate_imputation(sample, outcome_model, selection)
+        mask = sample.mask(group="E")
+        w = sample.treatment[mask]
+        imputed = outcome_model.evaluate(
+            w, np.column_stack([sample.covariates[mask], sample.secondary[mask]]))
+        p = selection.fitted_values[mask]
+        odds = p / (1.0 - p)
+        treated = _hajek(imputed[w == 1], odds[w == 1], "treated experimental arm")
+        control = _hajek(imputed[w == 0], odds[w == 0], "control experimental arm")
+        self.tau_ = treated - control
         self.outcome_model_ = outcome_model
         self.selection_ = selection
         self.warnings_ = tuple(outcome_model.warnings) + tuple(selection.warnings)
@@ -155,6 +79,13 @@ class GeneralImputation(BaseEstimator):
 
 
 class GeneralWeighting(BaseEstimator):
+    """Density-ratio-weighted difference of observational primary outcomes.
+
+    Under a completely randomized experimental design the weights are the
+    density ratio alone; under a covariate-conditional design each arm is
+    additionally inverse-weighted by the experimental propensity score.
+    """
+
     def __init__(self, nuisance: str = FREQUENCY, bins: int = 20,
                  experimental_design: str = RANDOMIZED, trim: float = 0.01):
         self.nuisance = nuisance
@@ -167,14 +98,25 @@ class GeneralWeighting(BaseEstimator):
             raise ValidationError(
                 f"weighting supports nuisance methods 'frequency' and 'binning', "
                 f"got {self.nuisance!r}")
+        if self.experimental_design not in (RANDOMIZED, UNCONFOUNDED):
+            raise ValidationError(f"unknown experimental design {self.experimental_design!r}")
         density_ratio = fit_density_ratio(sample, method=self.nuisance, bins=self.bins)
+        mask = sample.mask(group="O")
+        w = sample.treatment[mask]
+        lam = density_ratio.fitted_values[mask]
+        y = sample.primary[mask]
         propensity = None
         if self.experimental_design == UNCONFOUNDED:
             propensity = fit_propensity(sample, group="E", method=covariate_method(sample),
                                         trim=self.trim)
-        self.tau_ = estimate_weighting(
-            sample, density_ratio, propensity,
-            experimental_design=self.experimental_design, trim=self.trim)
+            e = propensity.probability(sample.covariates[mask])
+            a = 1.0 / e
+            b = 1.0 / (1.0 - e)
+        else:
+            a = b = np.ones(len(w))
+        treated = _hajek(y[w == 1], (lam * a)[w == 1], "treated observational arm")
+        control = _hajek(y[w == 0], (lam * b)[w == 0], "control observational arm")
+        self.tau_ = treated - control
         self.density_ratio_ = density_ratio
         self.propensity_ = propensity
         self.warnings_ = tuple(density_ratio.warnings) + (
@@ -187,6 +129,9 @@ class GeneralWeighting(BaseEstimator):
 
 
 class ControlFunction(BaseEstimator):
+    """Average, across experimental arms, of the observational outcome model
+    evaluated at each experimental unit's secondary-outcome rank."""
+
     def __init__(self, nuisance: str = FREQUENCY, k: int | None = None):
         self.nuisance = nuisance
         self.k = k
@@ -201,7 +146,13 @@ class ControlFunction(BaseEstimator):
         ranks_o = rank_fit.evaluate(sample.secondary[mask_o], sample.treatment[mask_o],
                                     sample.covariates[mask_o])
         rank_outcome = fit_rank_outcome_model(sample, ranks_o, method=self.nuisance, k=self.k)
-        self.tau_ = estimate_control_function(sample, rank_fit, rank_outcome)
+        mask_e = sample.mask(group="E")
+        w = sample.treatment[mask_e]
+        ranks_e = rank_fit.evaluate(sample.secondary[mask_e], w, sample.covariates[mask_e])
+        g = rank_outcome.evaluate(w, np.column_stack([sample.covariates[mask_e], ranks_e]))
+        if not (w == 1).any() or not (w == 0).any():
+            raise EstimationError("empty experimental arm")
+        self.tau_ = float(np.mean(g[w == 1])) - float(np.mean(g[w == 0]))
         self.rank_fit_ = rank_fit
         self.rank_outcome_ = rank_outcome
         self.ranks_observational_ = ranks_o
@@ -211,3 +162,22 @@ class ControlFunction(BaseEstimator):
     @property
     def name(self) -> str:
         return "control-function"
+
+
+# Shorthand for the classes, returning the point estimate.
+
+
+def estimate_imputation(sample: CombinedSample, method: str = FREQUENCY,
+                        k: int | None = None, trim: float = 0.01) -> float:
+    return GeneralImputation(nuisance=method, k=k, trim=trim).fit(sample).tau_
+
+
+def estimate_weighting(sample: CombinedSample, method: str = FREQUENCY, bins: int = 20,
+                       experimental_design: str = RANDOMIZED, trim: float = 0.01) -> float:
+    return GeneralWeighting(nuisance=method, bins=bins, experimental_design=experimental_design,
+                            trim=trim).fit(sample).tau_
+
+
+def estimate_control_function(sample: CombinedSample, method: str = FREQUENCY,
+                              k: int | None = None) -> float:
+    return ControlFunction(nuisance=method, k=k).fit(sample).tau_

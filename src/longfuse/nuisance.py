@@ -28,6 +28,13 @@ def default_knn_k(n: int) -> int:
     return max(1, math.ceil(n ** 0.8))
 
 
+def _check_knn_k(k: int, n: int) -> None:
+    if k < 1:
+        raise ValidationError("knn requires k >= 1")
+    if k > n:
+        raise EstimationError(f"k={k} exceeds arm size {n}")
+
+
 # -- integer cell codes --------------------------------------------------------
 
 
@@ -85,45 +92,6 @@ def cell_codes(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return table.codes, table.n_cells
 
 
-def cell_partition(sample: CombinedSample, keys, secondary_bins=None) -> dict:
-    """Partition unit indices into cells keyed by the requested columns.
-
-    ``keys`` draws from "group", "treatment", "secondary" and schema covariate
-    names; a cell's key is the tuple of its values in that order (group as
-    1.0 for observational units, categorical covariates as their codes). An
-    empty specification yields a single cell holding every unit. Partitioning
-    on a continuous secondary outcome requires ``secondary_bins`` (monotone
-    bin edges).
-    """
-    names = sample.schema.covariate_names
-    columns = []
-    for k in keys:
-        if k == "group":
-            columns.append(sample.group_obs)
-        elif k == "treatment":
-            columns.append(sample.treatment)
-        elif k == "secondary":
-            if secondary_bins is not None:
-                edges = np.asarray(secondary_bins, dtype=np.float64)
-                columns.append(np.digitize(sample.secondary, edges))
-            elif sample.schema.secondary_discrete:
-                columns.append(sample.secondary)
-            else:
-                raise ValidationError(
-                    "cell specification references a continuous secondary outcome; "
-                    "pass secondary_bins or declare the column secondary:discrete"
-                )
-        elif k in names:
-            columns.append(sample.covariates[:, names.index(k)])
-        else:
-            raise ValidationError(f"unknown cell key {k!r}")
-    rows = np.column_stack(columns).astype(np.float64) if columns else np.empty((sample.n, 0))
-    codes, n_cells = cell_codes(rows)
-    order = np.argsort(codes, kind="stable")
-    cells = np.split(order, np.cumsum(np.bincount(codes, minlength=n_cells))[:-1])
-    return {tuple(rows[idx[0]].tolist()): idx for idx in cells}
-
-
 # -- low-level predictors ------------------------------------------------------
 
 
@@ -153,6 +121,21 @@ class FrequencyMean:
         return self.means[codes]
 
 
+def _neighbour_blocks(Q: np.ndarray, Z: np.ndarray, k: int):
+    """Brute-force k-nearest-neighbour search of the rows of ``Q`` among the
+    rows of ``Z``: yields (row slice of ``Q``, indices into ``Z`` of each
+    row's k nearest) chunk by chunk, holding about 2**22 distances at once."""
+    chunk = max(1, int(2**22 // max(1, len(Z))))
+    for lo in range(0, len(Q), chunk):
+        block = Q[lo : lo + chunk]
+        d2 = ((block[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        if k < d2.shape[1]:
+            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        else:
+            idx = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+        yield slice(lo, lo + chunk), idx
+
+
 class KnnMean:
     """k-nearest-neighbor conditional mean over standardized features.
 
@@ -165,10 +148,7 @@ class KnnMean:
         if Z.shape[0] != len(y):
             Z = Z.T
         n, d = Z.shape
-        if k < 1:
-            raise ValidationError("knn requires k >= 1")
-        if k > n:
-            raise EstimationError(f"k={k} exceeds arm size {n}")
+        _check_knn_k(k, n)
         self.k = int(k)
         self._mu = Z.mean(axis=0)
         sd = Z.std(axis=0)
@@ -205,15 +185,8 @@ class KnnMean:
 
     def _predict_brute(self, Zq: np.ndarray) -> np.ndarray:
         out = np.empty(len(Zq))
-        chunk = max(1, int(2**22 // max(1, len(self._Z))))
-        for lo in range(0, len(Zq), chunk):
-            block = Zq[lo : lo + chunk]
-            d2 = ((block[:, None, :] - self._Z[None, :, :]) ** 2).sum(axis=2)
-            if self.k < d2.shape[1]:
-                idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            else:
-                idx = np.broadcast_to(np.arange(d2.shape[1]), d2.shape).copy()
-            out[lo : lo + chunk] = self._y[idx].mean(axis=1)
+        for rows, idx in _neighbour_blocks(Zq, self._Z, self.k):
+            out[rows] = self._y[idx].mean(axis=1)
         return out
 
 
@@ -254,16 +227,21 @@ class ConditionalMeanFit(NuisanceFit):
 
 
 class ProbabilityFit(NuisanceFit):
-    """Trimmed conditional probability of a binary flag given covariates."""
+    """Trimmed conditional probability of a binary flag given covariates;
+    ``fitted_values`` holds it at the rows the fit was made on."""
 
-    def __init__(self, kind, method, params, model, trim, warnings=()):
+    def __init__(self, kind, method, params, model, trim, raw, warnings=()):
         super().__init__(kind, method, params, warnings)
         self._model = model
         self.trim = float(trim)
+        self.fitted_values = self._clip(raw)
+
+    def _clip(self, p: np.ndarray) -> np.ndarray:
+        return np.clip(p, self.trim, 1.0 - self.trim)
 
     def probability(self, features) -> np.ndarray:
         p = self._model.predict(np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        return np.clip(p, self.trim, 1.0 - self.trim)
+        return self._clip(p)
 
     def odds(self, features) -> np.ndarray:
         p = self.probability(features)
@@ -272,13 +250,15 @@ class ProbabilityFit(NuisanceFit):
 
 class DensityRatioFit(NuisanceFit):
     """Ratio of experimental to observational conditional frequencies of
-    (treatment, secondary) given covariates."""
+    (treatment, secondary) given covariates; ``fitted_values`` holds it at
+    the rows the fit was made on."""
 
     def __init__(self, kind, method, params, cells, ratios, bin_edges, warnings=()):
         super().__init__(kind, method, params, warnings)
         self._cells = cells  # CellTable over (treatment, covariates, secondary or its bin)
         self._ratios = ratios  # ratio per cell code
         self._bin_edges = bin_edges
+        self.fitted_values = ratios[cells.codes]
 
     def ratio(self, w, features, s) -> np.ndarray:
         w = np.asarray(w)
@@ -335,19 +315,10 @@ class SecondaryRankFit(NuisanceFit):
             if not m.any():
                 continue
             Z, sv, mu, sd, k = self._knn[arm]
-            Q = (F[m] - mu) / sd
-            chunk = max(1, int(2**22 // max(1, len(Z))))
             vals = np.empty(int(m.sum()))
             sq = s[m]
-            for lo in range(0, len(Q), chunk):
-                block = Q[lo : lo + chunk]
-                d2 = ((block[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
-                idx = (
-                    np.argpartition(d2, k - 1, axis=1)[:, :k]
-                    if k < d2.shape[1]
-                    else np.broadcast_to(np.arange(d2.shape[1]), d2.shape).copy()
-                )
-                vals[lo : lo + chunk] = (sv[idx] <= sq[lo : lo + chunk, None]).mean(axis=1)
+            for rows, idx in _neighbour_blocks((F[m] - mu) / sd, Z, k):
+                vals[rows] = (sv[idx] <= sq[rows, None]).mean(axis=1)
             out[m] = vals
         return out
 
@@ -484,7 +455,7 @@ def _fit_probability(kind, features, flags, sample, method, trim, k, support_mes
             message=f"{kind}: {n_clamped} fitted probabilities clamped to [{trim}, {1-trim}]",
             context={"n_clamped": n_clamped, "trim": trim},
         ))
-    return ProbabilityFit(kind, method, {"trim": trim, "k": k}, model, trim, warnings)
+    return ProbabilityFit(kind, method, {"trim": trim, "k": k}, model, trim, raw, warnings)
 
 
 def fit_density_ratio(sample: CombinedSample, method: str = FREQUENCY,
@@ -584,8 +555,7 @@ def fit_secondary_rank(sample: CombinedSample, method: str = FREQUENCY,
             sd = Z.std(axis=0) if Z.size else np.ones(Z.shape[1])
             sd = np.where(sd > 0, sd, 1.0)
             arm_k = k if k is not None else default_knn_k(int(m.sum()))
-            if arm_k > int(m.sum()):
-                raise EstimationError(f"k={arm_k} exceeds arm size {int(m.sum())}")
+            _check_knn_k(arm_k, int(m.sum()))
             knn_state[arm] = ((Z - mu) / sd, s[m], mu, sd, arm_k)
         return SecondaryRankFit("secondary_rank_cdf", method,
                                 {"k": k if k is not None else "ceil(n**0.8)"}, None, knn_state)

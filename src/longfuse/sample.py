@@ -10,43 +10,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .exceptions import PositivityError, ValidationError, WarningRecord
 from .schema import CATEGORICAL, CONTINUOUS, SampleSchema
-
-
-class GroupTag(Enum):
-    EXPERIMENTAL = "E"
-    OBSERVATIONAL = "O"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Unit:
-    """One observation. ``primary`` is present iff the unit is observational.
-
-    ``secondary`` is a scalar for now; short-term outcomes are often
-    vector-valued and the field is the intended extension point for that.
-    """
-
-    group: GroupTag
-    treatment: int
-    covariates: tuple
-    secondary: float
-    primary: float | None = None
-
-    def __post_init__(self):
-        if self.treatment not in (0, 1):
-            raise ValidationError(f"non-binary treatment value {self.treatment!r}")
-        if self.group is GroupTag.OBSERVATIONAL and self.primary is None:
-            raise ValidationError("primary missing in observational unit")
-        if self.group is GroupTag.EXPERIMENTAL and self.primary is not None:
-            raise ValidationError("experimental unit carries a primary outcome")
 
 
 @dataclass(frozen=True)
@@ -133,48 +101,9 @@ class CombinedSample:
         for arr in (self.group_obs, self.treatment, self.covariates, self.secondary, self.primary):
             arr.setflags(write=False)
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_units(cls, units, schema: SampleSchema) -> "CombinedSample":
-        n = len(units)
-        group_obs = np.empty(n, dtype=bool)
-        treatment = np.empty(n, dtype=np.int8)
-        covariates = np.empty((n, schema.n_covariates), dtype=np.float64)
-        secondary = np.empty(n, dtype=np.float64)
-        primary = np.empty(n, dtype=np.float64)
-        for i, u in enumerate(units):
-            if len(u.covariates) != schema.n_covariates:
-                raise ValidationError(
-                    f"unit {i}: covariate vector length {len(u.covariates)} != "
-                    f"schema length {schema.n_covariates}"
-                )
-            group_obs[i] = u.group is GroupTag.OBSERVATIONAL
-            treatment[i] = u.treatment
-            covariates[i] = [float(v) for v in u.covariates]
-            secondary[i] = u.secondary
-            primary[i] = np.nan if u.primary is None else u.primary
-        return cls(schema, group_obs, treatment, covariates, secondary, primary)
-
     @property
     def n(self) -> int:
         return len(self.group_obs)
-
-    @property
-    def units(self) -> list[Unit]:
-        out = []
-        for i in range(self.n):
-            obs = bool(self.group_obs[i])
-            out.append(
-                Unit(
-                    group=GroupTag.OBSERVATIONAL if obs else GroupTag.EXPERIMENTAL,
-                    treatment=int(self.treatment[i]),
-                    covariates=tuple(self.covariates[i]),
-                    secondary=float(self.secondary[i]),
-                    primary=float(self.primary[i]) if obs else None,
-                )
-            )
-        return out
 
     def mask(self, group: str | None = None, treatment: int | None = None) -> np.ndarray:
         m = np.ones(self.n, dtype=bool)

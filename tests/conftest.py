@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longfuse import CombinedSample, GroupTag, Unit
+from longfuse import CombinedSample, SimConfig, simulate_linear
 from longfuse.schema import SampleSchema
 
 
@@ -18,12 +18,19 @@ def binary_schema() -> SampleSchema:
 
 def build_binary_sample(observational, experimental) -> CombinedSample:
     """observational: iterable of (w, s, y); experimental: iterable of (w, s)."""
-    units = [
-        Unit(GroupTag.OBSERVATIONAL, w, (), float(s), float(y))
-        for w, s, y in observational
-    ]
-    units += [Unit(GroupTag.EXPERIMENTAL, w, (), float(s)) for w, s in experimental]
-    return CombinedSample.from_units(units, binary_schema())
+    rows = [(1.0, w, s, y) for w, s, y in observational]
+    rows += [(0.0, w, s, np.nan) for w, s in experimental]
+    g, w, s, y = np.array(rows, dtype=np.float64).T
+    return CombinedSample(binary_schema(), g == 1.0, w, np.empty((len(rows), 0)), s, y)
+
+
+def linear_sample(covariate_types, n=300, shift=0.2, seed=41) -> CombinedSample:
+    """A confounded linear draw with ``n`` units per group; each covariate's
+    observational mean is shifted by ``shift``."""
+    cfg = SimConfig(n_experimental=n, n_observational=n, tau_p=0.3, tau_s=0.5, delta=0.8,
+                    confounding=1.0, covariate_types=tuple(covariate_types),
+                    group_shift=(shift,) * len(covariate_types), noise_primary=0.5, seed=seed)
+    return simulate_linear(cfg)[0]
 
 
 @pytest.fixture

@@ -7,16 +7,15 @@ import time
 import numpy as np
 
 from longfuse import (
+    BinaryImputation,
+    BinaryWeighting,
     GeneralImputation,
     GeneralWeighting,
     LinearControlFunction,
     LinearImputation,
     SimConfig,
-    estimate_binary_imputation,
-    estimate_binary_weighting,
     estimate_control_function,
     estimate_imputation,
-    estimate_linear_control_function,
     estimate_weighting,
     fit_secondary_experimental,
     group_balance_test,
@@ -43,8 +42,8 @@ def test_criterion_1_binary_identity():
     worst = 0.0
     for _ in range(1000):
         sample = random_binary_sample(rng, max_cell=50)
-        imp = estimate_binary_imputation(sample)
-        wgt = estimate_binary_weighting(sample)
+        imp = BinaryImputation().fit(sample).tau_
+        wgt = BinaryWeighting().fit(sample).tau_
         worst = max(worst, abs(imp - wgt))
         assert abs(imp - wgt) < 1e-12
     elapsed = time.time() - start
@@ -72,7 +71,7 @@ def test_criterion_2_linear_three_way_identity():
             seed=int(rng.integers(2**31)),
         )
         sample, _ = simulate_linear(cfg)
-        cf = estimate_linear_control_function(sample)
+        cf = LinearControlFunction().fit(sample).result_
         imp = LinearImputation().fit(sample)
         third = (imp.observational_fit_.coef("treatment")
                  + imp.delta_ * fit_secondary_experimental(sample).tau_s_hat)
@@ -175,8 +174,8 @@ def test_criterion_5_diagnostic_calibration_and_power():
 def test_criterion_6_reduction_to_binary(hand_fixture):
     start = time.time()
     values = {
-        "binary-imputation": estimate_binary_imputation(hand_fixture),
-        "binary-weighting": estimate_binary_weighting(hand_fixture),
+        "binary-imputation": BinaryImputation().fit(hand_fixture).tau_,
+        "binary-weighting": BinaryWeighting().fit(hand_fixture).tau_,
         "general-imputation": estimate_imputation(hand_fixture),
         "general-weighting": estimate_weighting(hand_fixture),
         "general-imputation-class": GeneralImputation().fit(hand_fixture).tau_,

@@ -3,13 +3,12 @@ import pytest
 
 from longfuse import (
     BinaryCellMeans,
+    BinaryImputation,
     BinaryWeighting,
     EstimationError,
     PositivityError,
     ValidationError,
     binary_cell_means,
-    estimate_binary_imputation,
-    estimate_binary_weighting,
     tau_naive_observational,
     tau_secondary_experimental,
 )
@@ -70,7 +69,7 @@ def test_tau_naive_on_fixture(hand_fixture):
 
 
 def test_imputation_on_hand_fixture(hand_fixture):
-    assert estimate_binary_imputation(hand_fixture) == 0.5
+    assert BinaryImputation().fit(hand_fixture).tau_ == 0.5
 
 
 def test_weighting_on_hand_fixture(hand_fixture):
@@ -88,8 +87,8 @@ def test_matching_frequencies_reduce_to_naive():
     experimental = [(1, 1), (1, 0), (0, 1), (0, 0)]
     sample = build_binary_sample(observational, experimental)
     naive = tau_naive_observational(binary_cell_means(sample), "P")
-    assert estimate_binary_imputation(sample) == pytest.approx(naive, abs=1e-15)
-    assert estimate_binary_weighting(sample) == pytest.approx(naive, abs=1e-15)
+    assert BinaryImputation().fit(sample).tau_ == pytest.approx(naive, abs=1e-15)
+    assert BinaryWeighting().fit(sample).tau_ == pytest.approx(naive, abs=1e-15)
 
 
 def test_imputation_missing_observational_cell_errors():
@@ -98,7 +97,7 @@ def test_imputation_missing_observational_cell_errors():
         experimental=[(1, 1), (0, 1), (0, 0), (1, 0)],  # E has (0,1); O does not
     )
     with pytest.raises(PositivityError, match=r"treatment=0, secondary=1"):
-        estimate_binary_imputation(sample)
+        BinaryImputation().fit(sample)
 
 
 def test_weighting_division_guard():
@@ -107,7 +106,7 @@ def test_weighting_division_guard():
         experimental=[(1, 1), (1, 0), (0, 1), (0, 0)],  # treated E has s=1, O does not
     )
     with pytest.raises(EstimationError, match="denominator zero"):
-        estimate_binary_weighting(sample)
+        BinaryWeighting().fit(sample)
 
 
 def test_zero_over_zero_weight_warns():
@@ -123,29 +122,30 @@ def test_zero_over_zero_weight_warns():
 
 def test_refuses_covariates_and_non_binary():
     import conftest
-    from longfuse import CombinedSample, GroupTag, Unit
+    from longfuse import CombinedSample
     from longfuse.schema import CovariateSpec, SampleSchema
 
     schema = SampleSchema("g", "w", "s", "y",
                           covariates=(CovariateSpec("x", "continuous"),))
-    units = [Unit(GroupTag.OBSERVATIONAL, w, (0.0,), 0.0, 0.0) for w in (0, 1)]
-    units += [Unit(GroupTag.EXPERIMENTAL, w, (0.0,), 0.0) for w in (0, 1)]
+    with_covariate = CombinedSample(schema, np.array([True, True, False, False]),
+                                    np.array([0, 1, 0, 1]), np.zeros((4, 1)), np.zeros(4),
+                                    np.array([0.0, 0.0, np.nan, np.nan]))
     with pytest.raises(ValidationError, match="without covariates"):
-        estimate_binary_imputation(CombinedSample.from_units(units, schema))
+        BinaryImputation().fit(with_covariate)
 
     sample = conftest.build_binary_sample(
         observational=[(0, 0.5, 0), (1, 0, 0)], experimental=[(0, 0), (1, 0)]
     )
     with pytest.raises(ValidationError, match="non-binary secondary"):
-        estimate_binary_imputation(sample)
+        BinaryImputation().fit(sample)
 
 
 def test_identity_property_over_random_samples():
     rng = np.random.default_rng(20240817)
     for _ in range(300):
         sample = random_binary_sample(rng)
-        imp = estimate_binary_imputation(sample)
-        wgt = estimate_binary_weighting(sample)
+        imp = BinaryImputation().fit(sample).tau_
+        wgt = BinaryWeighting().fit(sample).tau_
         assert abs(imp - wgt) < 1e-12
         assert -1.0 <= imp <= 1.0
         assert -1.0 <= wgt <= 1.0
@@ -155,5 +155,5 @@ def test_permutation_invariance():
     rng = np.random.default_rng(7)
     sample = random_binary_sample(rng)
     shuffled = sample.take(rng.permutation(sample.n))
-    assert estimate_binary_imputation(sample) == estimate_binary_imputation(shuffled)
-    assert estimate_binary_weighting(sample) == estimate_binary_weighting(shuffled)
+    assert BinaryImputation().fit(sample).tau_ == BinaryImputation().fit(shuffled).tau_
+    assert BinaryWeighting().fit(sample).tau_ == BinaryWeighting().fit(shuffled).tau_

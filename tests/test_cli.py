@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,30 @@ def test_weighting_with_knn_nuisance_exits_two(workspace, capsys):
                 "--method", "weighting", "--nuisance", "knn", "--bootstrap", 0])
     assert code == 2
     assert "binning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_control_function_knn_k_below_one_exits_two_without_warnings(workspace, capsys, k):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["estimate", "--input", workspace / "sample.csv",
+                    "--schema", workspace / "schema.json", "--method", "control-function",
+                    "--nuisance", "knn", "--knn-k", k, "--bootstrap", 0])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "knn requires k >= 1" in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("replicates", [-1, 1])
+def test_bootstrap_count_that_cannot_form_a_se_exits_two(workspace, capsys, replicates):
+    code = run(["estimate", "--input", workspace / "sample.csv",
+                "--schema", workspace / "schema.json", "--method", "linear-cf",
+                "--bootstrap", replicates, "--seed", 1, "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "n_bootstrap must be 0 or at least 2" in captured.err
+    assert captured.out == ""
 
 
 def test_diagnose_end_to_end(workspace, capsys):

@@ -126,3 +126,9 @@ def test_param_names_parsed_once_per_class():
     assert repr(clone) == repr(est) == ("Tuned(nuisance='binning', bins=33, "
                                         "experimental_design='randomized', trim=0.01, extra=5)")
     assert eval(repr(est), {"Tuned": Tuned}).get_params() == est.get_params()
+
+
+@pytest.mark.parametrize("n_bootstrap", [-1, 1])
+def test_bootstrap_count_that_cannot_form_a_se_is_refused(sample, n_bootstrap):
+    with pytest.raises(ValidationError, match="n_bootstrap must be 0 or at least 2"):
+        estimate_with_bootstrap(BinaryImputation(), sample, n_bootstrap=n_bootstrap, seed=0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from longfuse import (
+    LinearControlFunction,
     LinearImputation,
     RankError,
     SimConfig,
-    estimate_linear_control_function,
     fit_secondary_experimental,
     latent_selection_gap,
     residual_balance_diagnostic,
@@ -147,7 +147,7 @@ def test_residual_balance_unconfounded_within_three_se():
 
 def test_delta_zero_reduces_to_naive_regression():
     _, sample, _ = sim(seed=11, delta=0.0, confounding=1.0)
-    cf = estimate_linear_control_function(sample)
+    cf = LinearControlFunction().fit(sample).result_
     from longfuse.ols import design_matrix, ols
 
     mask = sample.mask(group="O")
@@ -162,7 +162,7 @@ def test_three_way_identity():
     for seed in range(25):
         cfg, sample, _ = sim(seed=seed, covariate_types=("continuous", "categorical"),
                              group_shift=(0.4, 0.2))
-        cf = estimate_linear_control_function(sample)
+        cf = LinearControlFunction().fit(sample).result_
         imp = LinearImputation().fit(sample)
         third = (imp.observational_fit_.coef("treatment")
                  + imp.delta_ * fit_secondary_experimental(sample).tau_s_hat)
@@ -193,16 +193,16 @@ def test_imputation_with_exactly_zero_secondary_loading():
 
 def test_scale_equivariance():
     _, sample, _ = sim(seed=13)
-    cf = estimate_linear_control_function(sample)
+    cf = LinearControlFunction().fit(sample).result_
 
     def rescale(primary_scale=1.0, secondary_scale=1.0):
         return CombinedSample(
             sample.schema, sample.group_obs, sample.treatment, sample.covariates,
             sample.secondary * secondary_scale, sample.primary * primary_scale)
 
-    scaled_p = estimate_linear_control_function(rescale(primary_scale=3.0))
+    scaled_p = LinearControlFunction().fit(rescale(primary_scale=3.0)).result_
     assert abs(scaled_p.tau_p_hat - 3.0 * cf.tau_p_hat) < 1e-9 * max(1, abs(cf.tau_p_hat))
-    scaled_s = estimate_linear_control_function(rescale(secondary_scale=5.0))
+    scaled_s = LinearControlFunction().fit(rescale(secondary_scale=5.0)).result_
     assert abs(scaled_s.tau_p_hat - cf.tau_p_hat) < 1e-9
     assert abs(scaled_s.delta_hat - cf.delta_hat / 5.0) < 1e-9
 
@@ -219,7 +219,7 @@ def test_secondary_fit_residuals_orthogonal_to_design():
 
 def test_residual_invariant_alpha_definition():
     _, sample, _ = sim(seed=17)
-    cf = estimate_linear_control_function(sample)
+    cf = LinearControlFunction().fit(sample).result_
     fit = cf.secondary_fit
     mask = sample.mask(group="O")
     manual = (sample.secondary[mask]
@@ -236,7 +236,7 @@ def test_consistency_and_naive_bias():
     for seed in range(30):
         cfg, sample, truth = sim(seed=seed, n_experimental=8000, n_observational=8000)
         cfg_truth = truth
-        cf = estimate_linear_control_function(sample)
+        cf = LinearControlFunction().fit(sample).result_
         biases.append(cf.tau_p_hat - cfg.tau_p)
         mask1 = sample.mask(group="O", treatment=1)
         mask0 = sample.mask(group="O", treatment=0)

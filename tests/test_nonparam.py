@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from longfuse import (
+    BinaryImputation,
+    BinaryWeighting,
     ControlFunction,
     GeneralImputation,
     GeneralWeighting,
     SimConfig,
     ValidationError,
-    estimate_binary_imputation,
-    estimate_binary_weighting,
     estimate_control_function,
     estimate_imputation,
     estimate_weighting,
@@ -18,22 +18,22 @@ from longfuse import (
 )
 from longfuse.inference import NaiveObservational
 
-from conftest import random_binary_sample
+from conftest import linear_sample, random_binary_sample
 
 
 def test_reduction_on_hand_fixture_is_exact(hand_fixture):
     assert estimate_imputation(hand_fixture) == 0.5
     assert estimate_weighting(hand_fixture) == 0.5
-    assert estimate_imputation(hand_fixture) == estimate_binary_imputation(hand_fixture)
-    assert estimate_weighting(hand_fixture) == estimate_binary_weighting(hand_fixture)
+    assert estimate_imputation(hand_fixture) == BinaryImputation().fit(hand_fixture).tau_
+    assert estimate_weighting(hand_fixture) == BinaryWeighting().fit(hand_fixture).tau_
 
 
 def test_reduction_on_random_binary_samples():
     rng = np.random.default_rng(99)
     for _ in range(100):
         sample = random_binary_sample(rng, max_cell=30)
-        assert abs(estimate_imputation(sample) - estimate_binary_imputation(sample)) < 1e-12
-        assert abs(estimate_weighting(sample) - estimate_binary_weighting(sample)) < 1e-12
+        assert abs(estimate_imputation(sample) - BinaryImputation().fit(sample).tau_) < 1e-12
+        assert abs(estimate_weighting(sample) - BinaryWeighting().fit(sample).tau_) < 1e-12
 
 
 def test_estimator_classes_expose_fitted_state(hand_fixture):
@@ -187,3 +187,43 @@ def test_weight_positivity_invariant(hand_fixture):
 def test_weighting_rejects_nuisance_other_than_frequency_or_binning(hand_fixture, nuisance):
     with pytest.raises(ValidationError, match="'frequency' and 'binning'"):
         GeneralWeighting(nuisance=nuisance).fit(hand_fixture)
+
+
+# exact tau_ values, compared with ==: a refactor of the general estimators
+# may not move an estimate by one bit
+_PINNED_SAMPLES = {
+    "discrete": lambda: simulate_discrete(5, n_x=3, n_secondary=3, n_primary=3).to_sample(),
+    "binning-50": lambda: linear_sample(("categorical",), n=20_000, shift=0.0),
+    "knn-d1": lambda: linear_sample(("continuous",)),
+    "knn-d2": lambda: linear_sample(("continuous", "continuous")),
+    "unconfounded": lambda: simulate_discrete(7, n_x=3, n_secondary=3, n_primary=3,
+                                              experimental_design="unconfounded").to_sample(),
+}
+_PINNED = [
+    ("discrete", GeneralImputation(), 0.1730769230769229),
+    ("discrete", GeneralWeighting(), 0.1730769230769229),
+    ("discrete", ControlFunction(), 0.1730769230769229),
+    ("binning-50", GeneralWeighting(nuisance="binning", bins=50), 0.2884719981016015),
+    ("knn-d1", GeneralImputation(nuisance="knn", k=15), 0.4934006033010096),
+    ("knn-d1", ControlFunction(nuisance="knn", k=15), 0.5240371091412421),
+    ("knn-d2", GeneralImputation(nuisance="knn"), 0.7794273571886285),
+    ("knn-d2", ControlFunction(nuisance="knn"), 0.7397961968352432),
+    ("unconfounded", GeneralWeighting(experimental_design="unconfounded"), 0.8673780487804867),
+]
+
+
+@pytest.mark.parametrize("data,estimator,tau", _PINNED,
+                         ids=[f"{d}-{e.name}" for d, e, _ in _PINNED])
+def test_general_estimates_are_pinned(data, estimator, tau):
+    assert estimator.clone().fit(_PINNED_SAMPLES[data]()).tau_ == tau
+
+
+def test_weighting_checks_the_design_before_fitting(hand_fixture, monkeypatch):
+    from longfuse import nonparam
+
+    def never(*args, **kwargs):
+        raise AssertionError("density ratio fitted before the design was checked")
+
+    monkeypatch.setattr(nonparam, "fit_density_ratio", never)
+    with pytest.raises(ValidationError, match="unknown experimental design 'stratified'"):
+        GeneralWeighting(experimental_design="stratified").fit(hand_fixture)

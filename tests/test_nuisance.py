@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,20 @@ from longfuse import (
     fit_propensity,
     fit_secondary_rank,
     fit_selection_odds,
+    simulate_discrete,
     simulate_linear,
 )
-from longfuse.nuisance import CellTable, FrequencyMean, KnnMean, cell_codes, default_knn_k
+from longfuse.nuisance import (
+    CellTable,
+    FrequencyMean,
+    KnnMean,
+    _neighbour_blocks,
+    cell_codes,
+    default_knn_k,
+)
 from longfuse.schema import CovariateSpec, SampleSchema
 
-from conftest import build_binary_sample
+from conftest import build_binary_sample, linear_sample
 
 
 def discrete_sample(rows):
@@ -579,3 +589,58 @@ def test_density_ratio_zero_cells_one_aggregate_warning(hand_fixture):
     fit = fit_density_ratio(discrete_sample(rows))
     zero = [w for w in fit.warnings if w.code == "zero_experimental_cell"]
     assert len(zero) == 1 and zero[0].context == {"n_cells": 2}
+
+
+# -- in-sample values and the shared neighbour search --
+
+
+def _discrete():
+    return simulate_discrete(5, n_x=3, n_secondary=3, n_primary=3).to_sample()
+
+
+@pytest.mark.parametrize("method,bins", [("frequency", 20), ("binning", 1), ("binning", 20),
+                                         ("binning", 50)])
+def test_density_ratio_fitted_values_equal_lookup(method, bins):
+    sample = _discrete() if method == "frequency" else linear_sample(
+        ("categorical",), n=20_000, shift=0.0)
+    fit = fit_density_ratio(sample, method=method, bins=bins)
+    looked_up = fit.ratio(sample.treatment, sample.covariates, sample.secondary)
+    assert np.array_equal(fit.fitted_values, looked_up)
+
+
+@pytest.mark.parametrize("covariates", [None, ("continuous",), ("continuous", "continuous")],
+                         ids=["frequency", "knn-d1", "knn-d2"])
+def test_selection_probability_fitted_values_equal_lookup(covariates):
+    if covariates is None:
+        sample, method = _discrete(), "frequency"
+    else:
+        sample, method = linear_sample(covariates), "knn"
+    fit = fit_selection_odds(sample, method=method, k=25)
+    assert np.array_equal(fit.fitted_values, fit.probability(sample.covariates))
+
+
+def test_neighbour_blocks_match_a_full_sort():
+    rng = np.random.default_rng(12)
+    Z = rng.standard_normal((2**13, 2))  # a chunk then holds 2**22 // 2**13 = 512 queries
+    Q = rng.standard_normal((1040, 2))
+    chunks = [(0, 512), (512, 1024), (1024, 1040)]
+    found = {}
+    for k in (1, 40, len(Z)):
+        blocks = list(_neighbour_blocks(Q, Z, k))
+        assert [(r.start, min(r.stop, len(Q))) for r, _ in blocks] == chunks
+        found[k] = np.concatenate([idx for _, idx in blocks])
+    # k == n: every reference row is a neighbour, in index order
+    assert np.array_equal(found.pop(len(Z)), np.broadcast_to(np.arange(len(Z)), (len(Q), len(Z))))
+    for i, q in enumerate(Q):
+        order = np.argsort(((Z - q) ** 2).sum(axis=1))
+        for k, idx in found.items():
+            assert np.array_equal(np.sort(idx[i]), np.sort(order[:k]))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rank_knn_refuses_k_below_one(k):
+    sample = linear_sample(("continuous",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"knn requires k >= 1"):
+            fit_secondary_rank(sample, method="knn", k=k)

@@ -5,12 +5,9 @@ import pytest
 
 from longfuse import (
     CombinedSample,
-    GroupTag,
     PositivityError,
-    Unit,
     ValidationError,
     bootstrap_resample,
-    cell_partition,
     load_sample,
     write_sample,
 )
@@ -98,21 +95,27 @@ def test_round_trip_is_bit_exact():
     assert reloaded.schema == sample.schema
 
 
+def _four_units(**columns):
+    """One unit per (group, treatment) stratum, E units first, with any
+    column replaced."""
+    base = dict(group_obs=np.array([False, False, True, True]), treatment=np.array([0, 1, 0, 1]),
+                covariates=np.empty((4, 0)), secondary=np.zeros(4),
+                primary=np.array([np.nan, np.nan, 0.0, 0.0]))
+    return CombinedSample(binary_schema(), **{**base, **columns})
+
+
 def test_unit_invariants():
-    with pytest.raises(ValidationError):
-        Unit(GroupTag.EXPERIMENTAL, 1, (), 0.0, primary=1.0)
-    with pytest.raises(ValidationError):
-        Unit(GroupTag.OBSERVATIONAL, 0, (), 0.0, primary=None)
-    with pytest.raises(ValidationError):
-        Unit(GroupTag.OBSERVATIONAL, 2, (), 0.0, primary=1.0)
+    with pytest.raises(ValidationError, match="experimental unit carries a primary"):
+        _four_units(primary=np.array([np.nan, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="primary missing in observational"):
+        _four_units(primary=np.array([np.nan, np.nan, np.nan, 0.0]))
+    with pytest.raises(ValidationError, match="non-binary treatment"):
+        _four_units(treatment=np.array([0, 1, 2, 1]))
 
 
 def test_covariate_length_mismatch():
-    schema = binary_schema()
-    units = [Unit(GroupTag.OBSERVATIONAL, w, (1.0,), 0.0, 0.0) for w in (0, 1)]
-    units += [Unit(GroupTag.EXPERIMENTAL, w, (1.0,), 0.0) for w in (0, 1)]
     with pytest.raises(ValidationError, match="covariate"):
-        CombinedSample.from_units(units, schema)
+        _four_units(covariates=np.ones((4, 1)))
 
 
 def test_empty_stratum_rejected():
@@ -136,50 +139,6 @@ def _sized_sample(sizes):
             else:
                 experimental.append((w, s))
     return build_binary_sample(observational, experimental)
-
-
-def test_cell_partition_group_treatment():
-    sample = _sized_sample({("E", 0): 2, ("E", 1): 3, ("O", 0): 4, ("O", 1): 5})
-    cells = cell_partition(sample, ["group", "treatment"])
-    assert sorted(len(v) for v in cells.values()) == [2, 3, 4, 5]
-    all_indices = np.sort(np.concatenate(list(cells.values())))
-    assert np.array_equal(all_indices, np.arange(sample.n))
-
-
-def test_cell_partition_with_secondary():
-    sample = _sized_sample({("E", 0): 3, ("E", 1): 3, ("O", 0): 3, ("O", 1): 3})
-    cells = cell_partition(sample, ["group", "treatment", "secondary"])
-    assert len(cells) <= 8
-    assert sum(len(v) for v in cells.values()) == sample.n
-
-
-def test_cell_partition_empty_specification():
-    sample = _sized_sample({("E", 0): 1, ("E", 1): 1, ("O", 0): 1, ("O", 1): 1})
-    cells = cell_partition(sample, [])
-    assert len(cells) == 1
-    assert len(next(iter(cells.values()))) == sample.n
-
-
-def test_cell_partition_order_independent():
-    sample = _sized_sample({("E", 0): 2, ("E", 1): 3, ("O", 0): 4, ("O", 1): 5})
-    shuffled = sample.take(np.random.default_rng(0).permutation(sample.n))
-    a = {k: len(v) for k, v in cell_partition(sample, ["group", "treatment"]).items()}
-    b = {k: len(v) for k, v in cell_partition(shuffled, ["group", "treatment"]).items()}
-    assert a == b
-
-
-def test_cell_partition_continuous_secondary_needs_bins():
-    sample = load_csv(MINIMAL)
-    with pytest.raises(ValidationError, match="secondary"):
-        cell_partition(sample, ["secondary"])
-    cells = cell_partition(sample, ["secondary"], secondary_bins=[1.0, 2.0])
-    assert sum(len(v) for v in cells.values()) == sample.n
-
-
-def test_cell_partition_unknown_key():
-    sample = load_csv(MINIMAL)
-    with pytest.raises(ValidationError, match="unknown cell key"):
-        cell_partition(sample, ["nope"])
 
 
 def test_bootstrap_preserves_stratum_sizes():
@@ -222,13 +181,6 @@ def test_sample_arrays_immutable():
     sample = _sized_sample({("E", 0): 1, ("E", 1): 1, ("O", 0): 1, ("O", 1): 1})
     with pytest.raises(ValueError):
         sample.secondary[0] = 99.0
-
-
-def test_units_round_trip():
-    sample = _sized_sample({("E", 0): 2, ("E", 1): 2, ("O", 0): 2, ("O", 1): 2})
-    rebuilt = CombinedSample.from_units(sample.units, sample.schema)
-    assert np.array_equal(rebuilt.secondary, sample.secondary)
-    assert np.array_equal(rebuilt.primary, sample.primary, equal_nan=True)
 
 
 def test_schema_duplicate_role_rejected():

@@ -3,9 +3,9 @@ import pytest
 
 from longfuse import (
     LinearControlFunction,
+    LinearImputation,
     SimConfig,
     ValidationError,
-    estimate_linear_imputation,
     latent_selection_gap,
     replicate_seeds,
     simulate_linear,
@@ -134,7 +134,7 @@ def test_group_shift_exercises_selection_reweighting():
     shift = (sample.covariates[sample.group_obs, 0].mean()
              - sample.covariates[~sample.group_obs, 0].mean())
     assert abs(shift - 0.8) < 0.1
-    est = estimate_linear_imputation(sample)
+    est = LinearImputation().fit(sample).tau_
     assert abs(est - truth.tau_p) < 0.1
 
 
