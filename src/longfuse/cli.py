@@ -180,8 +180,15 @@ def _reference_comparisons(sample) -> dict:
     }
 
 
+def _method_list(text: str, flag: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise ValidationError(f"{flag} names no estimator")
+    return methods
+
+
 def _cmd_estimate(args) -> int:
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    methods = _method_list(args.method, "--method")
     for m in methods:
         if m not in ESTIMATE_METHODS:
             raise ValidationError(f"unknown method {m!r}; expected one of "
@@ -204,18 +211,14 @@ def _cmd_estimate(args) -> int:
         "seed": seed,
     }
     fingerprint = config_fingerprint(config)
-    estimates = []
-    for m in ["naive"] + methods:
-        estimator = NaiveObservational() if m == "naive" else _make_estimator(m, args)
-        report = estimate_with_bootstrap(
-            estimator, sample, n_bootstrap=args.bootstrap, seed=seed,
-            fingerprint=fingerprint)
-        estimates.append(report.to_dict())
+    estimators = [NaiveObservational()] + [_make_estimator(m, args) for m in methods]
+    reports = estimate_with_bootstrap(estimators, sample, n_bootstrap=args.bootstrap,
+                                      seed=seed, fingerprint=fingerprint)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "config_fingerprint": fingerprint,
-        "estimates": estimates,
+        "estimates": [r.to_dict() for r in reports],
         "comparisons": _reference_comparisons(sample),
         "load_warnings": [w.to_dict() for w in sample.load_warnings],
     }
@@ -302,11 +305,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    methods = _method_list(args.methods, "--methods")
     config = _load_sim_config(args.config)
     seed = _require_seed(args)
-    if args.replicates < 1:
-        raise ValidationError("--replicates must be at least 1")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.replicates < 2:
+        # one replicate cannot form a Monte Carlo standard error
+        raise ValidationError("--replicates must be at least 2")
     estimators = {}
     for m in methods:
         estimators[m] = NaiveObservational() if m == "naive" else _make_estimator(m, args)
@@ -325,15 +329,19 @@ def _cmd_bench(args) -> int:
         if len(values) == 0:
             raise EstimationError(
                 f"bench: estimator {m!r} failed on all {args.replicates} replicates")
+        if len(values) == 1:
+            raise EstimationError(
+                f"bench: estimator {m!r} succeeded on only 1 of {args.replicates} "
+                "replicates; cannot form a Monte Carlo SE")
         bias = float(values.mean() - truth.tau_p)
-        sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        sd = float(values.std(ddof=1))
         rows.append({
             "estimator": m,
             "mean": float(values.mean()),
             "bias": bias,
             "sd": sd,
             "rmse": float(np.sqrt(np.mean((values - truth.tau_p) ** 2))),
-            "mc_se": float(sd / np.sqrt(len(values))) if len(values) > 1 else 0.0,
+            "mc_se": float(sd / np.sqrt(len(values))),
             "n_failed": args.replicates - len(values),
         })
     if args.format == "csv":

@@ -44,13 +44,32 @@ def _find(table: np.ndarray, query: np.ndarray):
     return pos, table[np.minimum(pos, len(table) - 1)] == query
 
 
+# a presence map over 0..max beats np.unique's sort while max stays within
+# this many times the row count
+_DENSE_SPAN = 4
+
+
+def _unique_inverse(values: np.ndarray):
+    """``np.unique(values, return_inverse=True)``; small non-negative integer
+    values (treatment, categorical codes, bin indices, merge keys) are coded
+    from a bincount presence map and its cumulative sum instead of a sort."""
+    n = len(values)
+    if n and values.min() >= 0 and values.max() <= _DENSE_SPAN * n:
+        ints = values.astype(np.int64)
+        if values.dtype.kind == "i" or np.array_equal(ints, values):
+            present = np.bincount(ints).astype(bool)
+            rank = np.cumsum(present) - 1
+            return np.flatnonzero(present).astype(values.dtype), rank[ints]
+    return np.unique(values, return_inverse=True)
+
+
 class CellTable:
     """Dense integer cell codes for the rows of a matrix of discrete columns.
 
     Codes run from 0 to ``n_cells - 1`` in lexicographic order of the rows'
     values, so they do not depend on row order. Each column is coded by
-    ``np.unique`` and folded into the running code in mixed radix; the running
-    code is re-densified after every column, so it stays below
+    :func:`_unique_inverse` and folded into the running code in mixed radix;
+    the running code is re-densified after every column, so it stays below
     n_rows * n_levels and cannot overflow whatever the product of the level
     counts. A matrix with no columns puts every row in one cell.
     """
@@ -61,8 +80,8 @@ class CellTable:
         code = np.zeros(rows.shape[0], dtype=np.int64)
         n_cells = 1
         for col in rows.T:
-            levels, inv = np.unique(col, return_inverse=True)
-            merged, code = np.unique(code * len(levels) + inv, return_inverse=True)
+            levels, inv = _unique_inverse(col)
+            merged, code = _unique_inverse(code * len(levels) + inv)
             self._levels.append(levels)
             self._merged.append(merged)
             n_cells = len(merged)

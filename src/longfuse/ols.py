@@ -1,6 +1,7 @@
 """Shared least-squares kernel with rank diagnostics and robust standard errors."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,8 +17,21 @@ class OlsFit:
     residuals: np.ndarray
     n: int
     r_squared: float
-    se: np.ndarray  # heteroskedasticity-robust (HC1)
-    covariance: np.ndarray | None = None  # HC1 covariance; se is its diagonal's root
+    design: np.ndarray  # the regressors, kept for the robust covariance
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Heteroskedasticity-robust (HC1) covariance, computed on first read."""
+        X, resid = self.design, self.residuals
+        n, k = X.shape
+        xtx_inv = np.linalg.inv(X.T @ X)
+        meat = (X * (resid**2)[:, None]).T @ X
+        return xtx_inv @ meat @ xtx_inv * (n / (n - k))
+
+    @cached_property
+    def se(self) -> np.ndarray:
+        """Robust (HC1) standard errors: the root of the covariance's diagonal."""
+        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -32,7 +46,7 @@ class OlsFit:
 def ols(response, design, names) -> OlsFit:
     """Least squares via SVD-backed lstsq; errors name dependent columns.
 
-    Robust (HC1) coefficient standard errors are always computed.
+    Robust (HC1) coefficient standard errors are computed when first read.
     """
     y = np.asarray(response, dtype=np.float64)
     X = np.asarray(design, dtype=np.float64)
@@ -56,12 +70,7 @@ def ols(response, design, names) -> OlsFit:
     sst = float(np.sum((y - y.mean()) ** 2))
     ssr = float(resid @ resid)
     r2 = 1.0 - ssr / sst if sst > 0 else 0.0
-    xtx_inv = np.linalg.inv(X.T @ X)
-    meat = (X * (resid**2)[:, None]).T @ X
-    cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return OlsFit(names=names, coefficients=beta, residuals=resid, n=n, r_squared=r2, se=se,
-                  covariance=cov)
+    return OlsFit(names=names, coefficients=beta, residuals=resid, n=n, r_squared=r2, design=X)
 
 
 def _dependent_columns(X, names) -> list[str]:

@@ -83,15 +83,24 @@ class CombinedSample:
         if np.isnan(covariates).any():
             raise ValidationError("missing covariate value")
 
+        self._store(schema, obs, treatment.astype(np.int8),
+                    np.asarray(covariates, dtype=np.float64),
+                    np.asarray(secondary, dtype=np.float64),
+                    np.asarray(primary, dtype=np.float64), tuple(load_warnings))
+
+    def _store(self, schema, group_obs, treatment, covariates, secondary, primary,
+               load_warnings):
+        """Adopt columns of the stored dtypes that pass the value checks; count
+        the strata, refuse an empty one, and lock the arrays."""
         self.schema = schema
-        self.group_obs = obs
-        self.treatment = treatment.astype(np.int8)
-        self.covariates = np.asarray(covariates, dtype=np.float64)
-        self.secondary = np.asarray(secondary, dtype=np.float64)
-        self.primary = np.asarray(primary, dtype=np.float64)
-        self.load_warnings = tuple(load_warnings)
+        self.group_obs = group_obs
+        self.treatment = treatment
+        self.covariates = covariates
+        self.secondary = secondary
+        self.primary = primary
+        self.load_warnings = load_warnings
         self.counts = {
-            (g, w): int(np.sum((obs == (g == "O")) & (self.treatment == w)))
+            (g, w): int(np.sum((group_obs == (g == "O")) & (treatment == w)))
             for g in ("E", "O")
             for w in (0, 1)
         }
@@ -114,14 +123,14 @@ class CombinedSample:
         return m
 
     def take(self, indices: np.ndarray) -> "CombinedSample":
-        return CombinedSample(
-            self.schema,
-            self.group_obs[indices],
-            self.treatment[indices],
-            self.covariates[indices],
-            self.secondary[indices],
-            self.primary[indices],
-        )
+        """The sample of rows ``indices``. Rows of a valid sample pass every
+        value check, so only the strata are counted again; an emptied stratum
+        raises the constructor's PositivityError."""
+        subset = object.__new__(CombinedSample)
+        subset._store(self.schema, self.group_obs[indices], self.treatment[indices],
+                      self.covariates[indices], self.secondary[indices],
+                      self.primary[indices], ())
+        return subset
 
 
 # -- ingestion ---------------------------------------------------------------

@@ -382,3 +382,88 @@ def test_csv_round_trip_through_cli(workspace, tmp_path, capsys):
         assert ea["tau_hat"] == eb["tau_hat"]
         assert ea["details"] == eb["details"]
     assert a["comparisons"] == b["comparisons"]
+
+
+@pytest.mark.parametrize("early_replicates_fail,message", [
+    (True, "bootstrap produced 0 successful replicates; cannot form a SE"),
+    (False, "late point fit"),
+])
+def test_estimate_failure_order_is_method_order(workspace, capsys, monkeypatch,
+                                                early_replicates_fail, message):
+    # an earlier method's failed bootstrap outranks a later method's failed
+    # point fit, as when each method was fitted and bootstrapped in turn
+    from longfuse import PositivityError
+    from longfuse.base import BaseEstimator
+
+    class Early(BaseEstimator):
+        name = "early"
+        calls = 0
+
+        def fit(self, sample):
+            Early.calls += 1
+            if early_replicates_fail and Early.calls > 1:
+                raise PositivityError("early replicate")
+            self.tau_ = 0.0
+            return self
+
+    class Late(BaseEstimator):
+        def fit(self, sample):
+            raise PositivityError("late point fit")
+
+    monkeypatch.setattr(cli, "_make_estimator",
+                        lambda method, args: Early() if method == "linear-cf" else Late())
+    code = run(["estimate", "--input", workspace / "sample.csv",
+                "--schema", workspace / "schema.json", "--method", "linear-cf,linear-imputation",
+                "--bootstrap", 3, "--seed", 1, "--no-timestamp"])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"estimation error: {message}\n")
+
+
+def test_bench_with_one_replicate_exits_two(workspace, capsys):
+    code = run(["bench", "--config", workspace / "sim.json", "--replicates", 1,
+                "--methods", "naive,linear-cf", "--seed", 4, "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--replicates must be at least 2" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_exits_three_when_an_estimator_succeeds_once(workspace, capsys, monkeypatch):
+    from longfuse import PositivityError
+    from longfuse.base import BaseEstimator
+
+    class OnceOnly(BaseEstimator):
+        calls = 0
+
+        def fit(self, sample):
+            OnceOnly.calls += 1
+            if OnceOnly.calls > 1:
+                raise PositivityError("only the first replicate has overlap")
+            self.tau_ = 0.0
+            return self
+
+    monkeypatch.setattr(cli, "_make_estimator", lambda method, args: OnceOnly())
+    code = run(["bench", "--config", workspace / "sim.json", "--replicates", 3,
+                "--methods", "naive,once", "--seed", 4, "--no-timestamp"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "'once' succeeded on only 1 of 3 replicates" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,flag", [("estimate", "--method"), ("bench", "--methods")])
+def test_empty_method_list_exits_two_before_any_work(workspace, capsys, monkeypatch,
+                                                     command, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("loaded or simulated data for an empty method list")
+
+    monkeypatch.setattr(cli, "load_sample", never)
+    monkeypatch.setattr(cli, "simulate_linear", never)
+    inputs = {"estimate": ["--input", workspace / "sample.csv",
+                           "--schema", workspace / "schema.json"],
+              "bench": ["--config", workspace / "sim.json"]}[command]
+    code = run([command, *inputs, flag, ",", "--seed", 1, "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{flag} names no estimator" in captured.err
+    assert captured.out == ""

@@ -26,11 +26,11 @@ def sample():
 
 
 def test_bootstrap_deterministic(sample):
-    a, fa = bootstrap_estimates(BinaryImputation(), sample, 40, seed=5)
-    b, fb = bootstrap_estimates(BinaryImputation(), sample, 40, seed=5)
+    [(a, fa)] = bootstrap_estimates([BinaryImputation()], sample, 40, seed=5)
+    [(b, fb)] = bootstrap_estimates([BinaryImputation()], sample, 40, seed=5)
     assert np.array_equal(a, b)
     assert fa == fb
-    c, _ = bootstrap_estimates(BinaryImputation(), sample, 40, seed=6)
+    [(c, _)] = bootstrap_estimates([BinaryImputation()], sample, 40, seed=6)
     assert not np.array_equal(a, c)
 
 
@@ -40,14 +40,14 @@ def test_bootstrap_failed_replicates_warn():
         observational=[(1, 1, 1), (1, 0, 0), (0, 0, 0), (0, 1, 1)],
         experimental=[(1, 1), (1, 0), (0, 1), (0, 0)],
     )
-    report = estimate_with_bootstrap(BinaryImputation(), sample, n_bootstrap=200, seed=1)
+    [report] = estimate_with_bootstrap([BinaryImputation()], sample, n_bootstrap=200, seed=1)
     codes = {w.code for w in report.warnings}
     assert "bootstrap_replicates_failed" in codes
     assert report.bootstrap_se is not None
 
 
 def test_report_invariants(sample):
-    report = estimate_with_bootstrap(NaiveObservational(), sample, n_bootstrap=0, seed=0)
+    [report] = estimate_with_bootstrap([NaiveObservational()], sample, n_bootstrap=0, seed=0)
     assert report.bootstrap_se is None
     assert report.n_bootstrap == 0
     with pytest.raises(ValidationError):
@@ -131,4 +131,41 @@ def test_param_names_parsed_once_per_class():
 @pytest.mark.parametrize("n_bootstrap", [-1, 1])
 def test_bootstrap_count_that_cannot_form_a_se_is_refused(sample, n_bootstrap):
     with pytest.raises(ValidationError, match="n_bootstrap must be 0 or at least 2"):
-        estimate_with_bootstrap(BinaryImputation(), sample, n_bootstrap=n_bootstrap, seed=0)
+        estimate_with_bootstrap([BinaryImputation()], sample, n_bootstrap=n_bootstrap, seed=0)
+
+
+def test_shared_replicate_loop_matches_fitting_each_estimator_alone():
+    from longfuse import GeneralWeighting, LinearImputation, SimConfig, simulate_linear
+    from longfuse.exceptions import EstimationError
+    from longfuse.sample import bootstrap_resample
+    from longfuse.simulate import replicate_seeds
+
+    # a 20k-row binned draw on which weighting loses 4 of its 20 replicates
+    sample, _ = simulate_linear(SimConfig(
+        n_experimental=10_000, n_observational=10_000, tau_p=0.06, tau_s=0.15, delta=0.64,
+        confounding=1.0, covariate_types=("categorical",), noise_primary=2.0, seed=1))
+    estimators = [NaiveObservational(), LinearControlFunction(), LinearImputation(),
+                  GeneralWeighting(nuisance="binning", bins=50)]
+    shared = bootstrap_estimates(estimators, sample, 20, seed=3)
+    for est, (values, n_failed) in zip(estimators, shared):
+        alone = []  # each estimator bootstrapped on its own, resample by resample
+        for replicate_seed in replicate_seeds(3, 20):
+            resample = bootstrap_resample(sample, replicate_seed)
+            try:
+                alone.append(float(est.clone().fit(resample).tau_))
+            except EstimationError:
+                pass
+        assert np.array_equal(values, np.asarray(alone))
+        assert n_failed == 20 - len(alone)
+    assert [n_failed for _, n_failed in shared] == [0, 0, 0, 4]
+    reports = estimate_with_bootstrap(estimators, sample, n_bootstrap=20, seed=3)
+    # bootstrap_se of each estimator bootstrapped alone, recorded before the
+    # replicate loop was shared
+    assert [(r.estimator, r.bootstrap_se) for r in reports] == [
+        ("naive", 0.045324736638904684),
+        ("linear-cf", 0.04283914182901615),
+        ("linear-imputation", 0.042839141829016034),
+        ("weighting", 0.04930337510991871),
+    ]
+    assert [w.context for w in reports[3].warnings
+            if w.code == "bootstrap_replicates_failed"] == [{"n_failed": 4, "n_bootstrap": 20}]

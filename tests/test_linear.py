@@ -88,7 +88,7 @@ def test_residuals_against_zero_fit_return_secondary():
         tau_s_hat=0.0, gamma_s_hat=np.zeros(sample.schema.n_covariates), intercept=0.0,
         ols_fit=OlsFit(names=("intercept", "treatment", "x1"),
                        coefficients=np.zeros(k), residuals=np.empty(0), n=0,
-                       r_squared=0.0, se=np.zeros(k)))
+                       r_squared=0.0, design=np.empty((0, k))))
     resid = residuals_observational(sample, zero)
     assert np.array_equal(resid, sample.secondary[sample.group_obs])
 

@@ -548,6 +548,48 @@ def test_cell_codes_redensify_past_int64_level_product():
                           reference_frequency_mean(rows, y, rows))
 
 
+def _cell_table_inputs(case):
+    rng = np.random.default_rng(17)
+    n = 2000
+    small = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 5, n),
+                             rng.integers(0, 50, n)]).astype(np.float64)
+    return {
+        "random": small,
+        "shuffled": small[rng.permutation(n)],
+        # few distinct levels spread up to the presence map's bound
+        "sparse": rng.choice([0.0, 7.0, 1999.0, 4.0 * n], size=(n, 2)),
+        "above-bound": rng.choice([0.0, 3.0, 4.0 * n + 1, 1e12], size=(n, 2)),
+        "non-integer": rng.choice([0.0, 1.0, 2.25, 3.5], size=(n, 2)),
+        "negative": rng.choice([-3.0, 0.0, 2.0], size=(n, 2)),
+        "signed-zero": np.column_stack([rng.choice([-0.0, 0.0, 1.0], n), small[:, 1]]),
+        "no-columns": np.empty((n, 0)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["random", "shuffled", "sparse", "above-bound",
+                                  "non-integer", "negative", "signed-zero", "no-columns"])
+def test_cell_table_bincount_path_matches_unique(case, monkeypatch):
+    import longfuse.nuisance as nuisance
+
+    rows = _cell_table_inputs(case)
+    queries = np.concatenate([rows[::-1], rows[:50] + 0.5, rows[:50] * 3.0 + 1.0])
+    if case in ("random", "shuffled", "sparse"):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("small non-negative integers went through np.unique")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+    fast = CellTable(rows)
+    monkeypatch.undo()
+    monkeypatch.setattr(nuisance, "_DENSE_SPAN", -1)  # every column through np.unique
+    reference = CellTable(rows)
+    assert fast.n_cells == reference.n_cells
+    assert np.array_equal(fast.codes, reference.codes)
+    looked_up = fast.lookup(queries)
+    assert np.array_equal(looked_up, reference.lookup(queries))
+    assert np.array_equal(looked_up[:len(rows)], fast.codes[::-1])
+    assert (looked_up == -1).any() == (rows.shape[1] > 0)
+
+
 def _positivity_cases():
     def fixture(extra):
         rows = [(g, w, x, s, 1.0 if g == "O" else None)

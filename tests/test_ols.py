@@ -97,3 +97,30 @@ def test_rank_decision_matches_matrix_rank(case):
     assert exc.value.columns == dependent
     assert str(exc.value) == (f"design is rank deficient (rank {rank} < {k}); "
                               "dependent columns: " + ", ".join(dependent))
+
+
+def test_robust_covariance_is_computed_on_first_read():
+    rng = np.random.default_rng(4)
+    X = np.column_stack([np.ones(300), rng.standard_normal((300, 2))])
+    y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(300) * (1 + np.abs(X[:, 1]))
+    fit = ols(y, X, ["intercept", "a", "b"])
+    assert "covariance" not in fit.__dict__ and "se" not in fit.__dict__
+    # the eager HC1 arithmetic, step by step
+    resid = y - X @ fit.coefficients
+    xtx_inv = np.linalg.inv(X.T @ X)
+    meat = (X * (resid**2)[:, None]).T @ X
+    cov = xtx_inv @ meat @ xtx_inv * (300 / (300 - 3))
+    assert np.array_equal(fit.se, np.sqrt(np.clip(np.diag(cov), 0.0, None)))
+    assert np.array_equal(fit.covariance, cov)
+    assert fit.covariance is fit.covariance
+
+
+def test_linear_fit_leaves_the_covariance_unread():
+    from longfuse import LinearControlFunction, SimConfig, simulate_linear
+
+    sample, _ = simulate_linear(SimConfig(
+        n_experimental=200, n_observational=200, tau_p=0.1, tau_s=0.2, delta=0.5,
+        covariate_types=("continuous",), seed=1))
+    fit = LinearControlFunction().fit(sample)
+    for ols_fit in (fit.result_.ols_fit, fit.result_.secondary_fit.ols_fit):
+        assert "covariance" not in ols_fit.__dict__ and "se" not in ols_fit.__dict__

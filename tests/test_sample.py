@@ -186,3 +186,19 @@ def test_sample_arrays_immutable():
 def test_schema_duplicate_role_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         schema_from_mapping({"a": "group", "b": "group"})
+
+
+def test_take_counts_strata_refuses_an_emptied_one_and_locks_arrays():
+    sample = _sized_sample({("E", 0): 3, ("E", 1): 2, ("O", 0): 2, ("O", 1): 4})
+    treated_o = np.flatnonzero(sample.group_obs & (sample.treatment == 1))
+    rows = np.concatenate([np.arange(sample.n)[::-1], treated_o[:2]])
+    taken = sample.take(rows)
+    assert taken.counts == {("E", 0): 3, ("E", 1): 2, ("O", 0): 2, ("O", 1): 6}
+    for name in ("group_obs", "treatment", "covariates", "secondary", "primary"):
+        arr = getattr(taken, name)
+        assert not arr.flags.writeable
+        assert arr.dtype == getattr(sample, name).dtype
+        assert np.array_equal(arr, getattr(sample, name)[rows], equal_nan=True)
+    no_treated_e = np.flatnonzero(~(~sample.group_obs & (sample.treatment == 1)))
+    with pytest.raises(PositivityError, match="empty cell: group E, treatment 1"):
+        sample.take(no_treated_e)
