@@ -180,15 +180,15 @@ def _reference_comparisons(sample) -> dict:
     }
 
 
-def _method_list(text: str, flag: str) -> list[str]:
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not methods:
-        raise ValidationError(f"{flag} names no estimator")
-    return methods
+def _name_list(text: str, flag: str, noun: str) -> list[str]:
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    if not names:
+        raise ValidationError(f"{flag} names no {noun}")
+    return names
 
 
 def _cmd_estimate(args) -> int:
-    methods = _method_list(args.method, "--method")
+    methods = _name_list(args.method, "--method", "estimator")
     for m in methods:
         if m not in ESTIMATE_METHODS:
             raise ValidationError(f"unknown method {m!r}; expected one of "
@@ -227,7 +227,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    tests = [t.strip() for t in args.tests.split(",") if t.strip()]
+    tests = _name_list(args.tests, "--tests", "diagnostic")
     for t in tests:
         if t not in DIAGNOSTIC_TESTS:
             raise ValidationError(f"unknown diagnostic {t!r}; expected one of "
@@ -305,7 +305,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = _method_list(args.methods, "--methods")
+    methods = _name_list(args.methods, "--methods", "estimator")
     config = _load_sim_config(args.config)
     seed = _require_seed(args)
     if args.replicates < 2:

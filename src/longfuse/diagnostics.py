@@ -162,6 +162,8 @@ def _balance_permutation(sample: CombinedSample, seed: int, n_permutations: int,
                          max_cells: int) -> DiagnosticReport:
     if n_permutations < 1:
         raise ValidationError("n_permutations must be positive")
+    if max_cells < 1:
+        raise ValidationError("max_cells must be at least 1")
     labels = _stratum_labels(sample, max_cells)
     group = sample.group_obs
     sizes = np.bincount(labels)

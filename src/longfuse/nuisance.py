@@ -6,6 +6,12 @@ Three estimation methods are provided:
   reference method the identification-oracle tests run against.
 * ``knn`` — k-nearest-neighbor smoothing over standardized features for
   continuous data (default k = ceil(n**0.8) within arm; Euclidean metric).
+  One feature uses an exact sorted-window search; more features use one
+  exact brute-force search, :func:`_neighbour_blocks`, that holds 2**16
+  squared distances at a time and sums them column by column in numpy's own
+  summation order, so its distances, and the neighbours ``argpartition``
+  picks from them, match a 3-D broadcast ``((q - z) ** 2).sum(axis=-1)``
+  exactly, ties included.
 * ``binning`` — equal-mass binning of a continuous secondary outcome, used
   only by the density-ratio fit (default 20 bins).
 
@@ -140,18 +146,80 @@ class FrequencyMean:
         return self.means[codes]
 
 
+# distances per chunk of the brute-force search: 512 KB per (rows, n) array,
+# so a chunk's distance, difference and index arrays stay in a 2 MB L2 cache
+_CHUNK_DISTANCES = 2**16
+
+
+def _squared_distances(block, Zt, cols, out, diff):
+    """Fill ``out`` with the squared distances between the rows of ``block``
+    and the columns of ``Zt`` (the reference rows, transposed), summed over
+    the features ``cols`` in the order ``np.add.reduce`` sums a contiguous
+    axis of that length (numpy's pairwise summation): below 8 terms left to
+    right; up to 128 terms in eight interleaved lanes combined pairwise, then
+    the leftover terms left to right; above that, two halves split at a
+    multiple of 8 and added. The result equals
+    ``((block[:, None, cols] - Zt.T[None, :, cols]) ** 2).sum(axis=2)`` bit
+    for bit. ``diff`` is scratch space of the shape of ``out``."""
+    m = len(cols)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        right = np.empty_like(out)
+        _squared_distances(block, Zt, cols[:half], out, diff)
+        out += _squared_distances(block, Zt, cols[half:], right, diff)
+        return out
+
+    def term(j, dest):
+        # z - q rounds to exactly -(q - z), so its square is the same; a row
+        # copy and an in-place subtraction beat an outer subtraction
+        np.copyto(dest, Zt[j])
+        dest -= block[:, j, None]
+        dest *= dest
+        return dest
+
+    if m == 0:
+        out.fill(0.0)
+        return out
+    if m < 8:
+        full = 1
+        term(cols[0], out)
+    else:
+        full = m - m % 8
+        r = [out] + [np.empty_like(out) for _ in range(7)]
+        for lane, j in zip(r, cols[:8]):
+            term(j, lane)
+        for i in range(8, full):
+            r[i % 8] += term(cols[i], diff)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), into r0 = out
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+    for j in cols[full:]:
+        out += term(j, diff)
+    return out
+
+
 def _neighbour_blocks(Q: np.ndarray, Z: np.ndarray, k: int):
     """Brute-force k-nearest-neighbour search of the rows of ``Q`` among the
     rows of ``Z``: yields (row slice of ``Q``, indices into ``Z`` of each
-    row's k nearest) chunk by chunk, holding about 2**22 distances at once."""
-    chunk = max(1, int(2**22 // max(1, len(Z))))
+    row's k nearest) chunk by chunk, holding ``_CHUNK_DISTANCES`` (2**16)
+    distances at once. The squared distances are formed column by column and
+    summed in numpy's order (see :func:`_squared_distances`), so they equal
+    the broadcast ``((block[:, None] - Z[None]) ** 2).sum(axis=2)`` of
+    row-major operands exactly, and ``argpartition`` returns the same
+    indices, ties included."""
+    n = len(Z)
+    chunk = max(1, _CHUNK_DISTANCES // max(1, n))
+    Zt = np.ascontiguousarray(Z.T)
+    cols = range(Z.shape[1])
+    d2 = np.empty((min(chunk, len(Q)), n))
+    diff = np.empty_like(d2)
     for lo in range(0, len(Q), chunk):
-        block = Q[lo : lo + chunk]
-        d2 = ((block[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
-        if k < d2.shape[1]:
-            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        else:
-            idx = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+        rows = min(chunk, len(Q) - lo)
+        if k < n:
+            _squared_distances(Q[lo : lo + rows], Zt, cols, d2[:rows], diff[:rows])
+            idx = np.argpartition(d2[:rows], k - 1, axis=1)[:, :k]
+        else:  # every reference row is a neighbour, in index order
+            idx = np.broadcast_to(np.arange(n), (rows, n))
         yield slice(lo, lo + chunk), idx
 
 

@@ -224,6 +224,19 @@ def test_diagnose_end_to_end(workspace, capsys):
     assert "decision_note" in balance
 
 
+@pytest.mark.parametrize("max_cells", [-1, 0])
+def test_diagnose_max_cells_below_one_exits_two(workspace, capsys, max_cells):
+    code = run(["diagnose", "--input", workspace / "sample.csv",
+                "--schema", workspace / "schema.json", "--tests", "group-balance",
+                "--diagnostic-method", "permutation", "--permutations", 9, "--seed", 1,
+                "--max-cells", max_cells, "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "max_cells must be at least 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_diagnose_permutation_requires_seed(workspace, capsys):
     code = run(["diagnose", "--input", workspace / "sample.csv",
                 "--schema", workspace / "schema.json",
@@ -451,19 +464,22 @@ def test_bench_exits_three_when_an_estimator_succeeds_once(workspace, capsys, mo
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command,flag", [("estimate", "--method"), ("bench", "--methods")])
+@pytest.mark.parametrize("command,flag", [("estimate", "--method"), ("bench", "--methods"),
+                                          ("diagnose", "--tests")])
 def test_empty_method_list_exits_two_before_any_work(workspace, capsys, monkeypatch,
                                                      command, flag):
     def never(*args, **kwargs):
         raise AssertionError("loaded or simulated data for an empty method list")
 
+    monkeypatch.setattr(cli, "load_schema", never)
     monkeypatch.setattr(cli, "load_sample", never)
     monkeypatch.setattr(cli, "simulate_linear", never)
-    inputs = {"estimate": ["--input", workspace / "sample.csv",
-                           "--schema", workspace / "schema.json"],
+    sample = ["--input", workspace / "sample.csv", "--schema", workspace / "schema.json"]
+    inputs = {"estimate": sample, "diagnose": sample,
               "bench": ["--config", workspace / "sim.json"]}[command]
     code = run([command, *inputs, flag, ",", "--seed", 1, "--no-timestamp"])
     assert code == 2
     captured = capsys.readouterr()
-    assert f"{flag} names no estimator" in captured.err
+    noun = "diagnostic" if command == "diagnose" else "estimator"
+    assert f"{flag} names no {noun}" in captured.err
     assert captured.out == ""

@@ -17,10 +17,12 @@ from longfuse import (
     simulate_discrete,
     simulate_linear,
 )
+from longfuse import nuisance
 from longfuse.nuisance import (
     CellTable,
     FrequencyMean,
     KnnMean,
+    _CHUNK_DISTANCES,
     _neighbour_blocks,
     cell_codes,
     default_knn_k,
@@ -663,9 +665,10 @@ def test_selection_probability_fitted_values_equal_lookup(covariates):
 
 def test_neighbour_blocks_match_a_full_sort():
     rng = np.random.default_rng(12)
-    Z = rng.standard_normal((2**13, 2))  # a chunk then holds 2**22 // 2**13 = 512 queries
-    Q = rng.standard_normal((1040, 2))
-    chunks = [(0, 512), (512, 1024), (1024, 1040)]
+    Z = rng.standard_normal((2**10, 2))
+    step = _CHUNK_DISTANCES // len(Z)  # queries per chunk
+    Q = rng.standard_normal((2 * step + step // 4, 2))
+    chunks = [(0, step), (step, 2 * step), (2 * step, len(Q))]
     found = {}
     for k in (1, 40, len(Z)):
         blocks = list(_neighbour_blocks(Q, Z, k))
@@ -677,6 +680,70 @@ def test_neighbour_blocks_match_a_full_sort():
         order = np.argsort(((Z - q) ** 2).sum(axis=1))
         for k, idx in found.items():
             assert np.array_equal(np.sort(idx[i]), np.sort(order[:k]))
+
+
+def _broadcast_neighbour_blocks(Q, Z, k):
+    """Reference search: a 3-D difference array per chunk of 2**22
+    distances, squared and summed over its last axis."""
+    chunk = max(1, int(2**22 // max(1, len(Z))))
+    for lo in range(0, len(Q), chunk):
+        block = Q[lo : lo + chunk]
+        d2 = ((block[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        if k < d2.shape[1]:
+            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        else:
+            idx = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+        yield slice(lo, lo + chunk), idx
+
+
+def _knn_inputs(kind, d, rng):
+    """(queries, reference rows, k values) of one kind of kNN input."""
+    if kind == "random":
+        Q, Z = rng.standard_normal((90, d)), rng.standard_normal((160, d))
+    elif kind == "ties":
+        # rounded and categorical-like columns, duplicate reference rows, and
+        # queries that coincide with reference rows
+        Z = np.round(rng.standard_normal((120, d)))
+        Z[:, ::2] = rng.integers(0, 3, size=Z[:, ::2].shape)
+        Z = np.vstack([Z, Z[:40]])
+        Q = np.vstack([Z[rng.integers(0, len(Z), 45)], np.round(rng.standard_normal((45, d)))])
+    else:
+        # each query is the centre of its own mirrored pairs of reference
+        # rows, so its 2i-1-th and 2i-th neighbours are at (nearly) equal
+        # distances and odd k sit on that boundary
+        Q = rng.standard_normal((8, d)) * 100
+        offsets = rng.standard_normal((8, 10, d))
+        Z = np.concatenate([np.concatenate([c + o, c - o]) for c, o in zip(Q, offsets)])
+        return Q, Z, (1, 7, len(Z) // 2 + 1, len(Z))
+    return Q, Z, (1, len(Z) // 2 + 1, len(Z))
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "boundary"])
+def test_neighbour_blocks_equal_the_broadcast(kind, monkeypatch):
+    # a small bound puts several chunks and a partial last one in every search
+    monkeypatch.setattr(nuisance, "_CHUNK_DISTANCES", 2**11)
+    rng = np.random.default_rng(31)
+    for d in [*range(1, 21), 130]:
+        Q, Z, ks = _knn_inputs(kind, d, rng)
+        for k in ks:
+            got = np.concatenate([idx for _, idx in _neighbour_blocks(Q, Z, k)])
+            want = np.concatenate([idx for _, idx in _broadcast_neighbour_blocks(Q, Z, k)])
+            assert np.array_equal(got, want), (d, k)
+
+
+def test_neighbour_blocks_equal_the_broadcast_on_a_linear_draw():
+    # the knn-continuous benchmark's shape: 1000 + 1000 units, two continuous
+    # covariates, features (covariates, secondary) standardized within an arm
+    sample = linear_sample(("continuous", "continuous"), n=1000)
+    features = np.column_stack([sample.covariates, sample.secondary])
+    arm = sample.group_obs & (sample.treatment == 0)
+    model = KnnMean(features[arm], sample.primary[arm], k=1)
+    Q = (features - model._mu) / model._sd
+    n = len(model._Z)
+    for k in (1, default_knn_k(n), n):
+        got = np.concatenate([idx for _, idx in _neighbour_blocks(Q, model._Z, k)])
+        want = np.concatenate([idx for _, idx in _broadcast_neighbour_blocks(Q, model._Z, k)])
+        assert np.array_equal(got, want), k
 
 
 @pytest.mark.parametrize("k", [0, -1])
